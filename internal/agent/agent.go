@@ -107,8 +107,15 @@ type Agent struct {
 	// appTbl interns application names; capacity/dirty key by the local ID.
 	// The table survives daemon crashes (it is only a name dictionary; the
 	// ledger itself is rebuilt from the master's CapacitySync).
-	appTbl    ident.Table
-	capacity  map[capKey]capEntry
+	appTbl   ident.Table
+	capacity map[capKey]capEntry
+	// ledgerFP is the capacity table's commutative fingerprint (wrapping
+	// sum of protocol.LedgerEntryFP over its entries), maintained on every
+	// capacity change and equal to the master's Scheduler.LedgerFP for this
+	// machine whenever the two ledgers agree. App names are hashed on
+	// demand rather than cached per intern ID: a per-agent hash cache costs
+	// more memory across thousands of agents than the hashing costs time.
+	ledgerFP  uint64
 	daemonUp  bool
 	machineUp bool
 	broken    bool // disk corrupted: processes cannot be launched
@@ -207,6 +214,11 @@ func (a *Agent) Capacity(app string, unitID int) int {
 	}
 	return a.capacity[makeCapKey(id, unitID)].count
 }
+
+// LedgerFP returns the capacity table's ledger fingerprint (see
+// protocol.LedgerEntryFP); it equals the primary master's
+// Scheduler.LedgerFP for this machine when the two ledgers agree.
+func (a *Agent) LedgerFP() uint64 { return a.ledgerFP }
 
 // Allocations returns the agent's full capacity table as app -> unit ->
 // count (a copy, names at the boundary). The cluster-wide invariant checker
@@ -457,10 +469,15 @@ func (a *Agent) applyCapacityID(app int32, unitID int, size resource.Vector, del
 	k := makeCapKey(app, unitID)
 	a.dirty[k] = struct{}{}
 	e := a.capacity[k]
+	old := e.count
 	e.size = size
 	e.count += delta
 	if e.count < 0 {
 		e.count = 0
+	}
+	if e.count != old {
+		h := protocol.NameHash(a.appTbl.Name(app))
+		a.ledgerFP += protocol.LedgerEntryFP(h, unitID, e.count) - protocol.LedgerEntryFP(h, unitID, old)
 	}
 	// Zero-count entries stay in the table for reuse: the scale workload
 	// cycles (app, unit) capacity on a machine many times, and re-creating
@@ -620,6 +637,7 @@ func (a *Agent) CrashDaemon() {
 	a.net.Unregister(a.endpoint())
 	// In-memory daemon state is lost.
 	a.capacity = make(map[capKey]capEntry)
+	a.ledgerFP = 0
 	a.dedup = protocol.Dedup{}
 }
 
@@ -663,6 +681,10 @@ func (a *Agent) applyCapacitySync(t protocol.CapacitySync) {
 		if e.Count > 0 {
 			a.capacity[makeCapKey(a.appTbl.Intern(e.App), e.UnitID)] = capEntry{size: e.Size, count: e.Count}
 		}
+	}
+	a.ledgerFP = 0
+	for k, e := range a.capacity {
+		a.ledgerFP += protocol.LedgerEntryFP(protocol.NameHash(a.appTbl.Name(k.app())), k.unitID(), e.count)
 	}
 	// Enforce (and below, reap) in sorted name order so the enforcement
 	// kills and their failure reports are seed-reproducible (local intern
@@ -752,6 +774,7 @@ func (a *Agent) CrashMachine() {
 		delete(a.procs, id)
 	}
 	a.capacity = make(map[capKey]capEntry)
+	a.ledgerFP = 0
 	a.net.SetDown(a.endpoint(), true)
 }
 

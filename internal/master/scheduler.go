@@ -137,6 +137,9 @@ type appState struct {
 	id    int32 // dense scheduler intern ID (stable per name within a Scheduler)
 	name  string
 	group string
+	// nameHash is protocol.NameHash(name), the key of this app's ledger
+	// fingerprint entries (see Scheduler.ledgerFP).
+	nameHash uint64
 	// unitArr holds the app's units sorted by ID, frozen at registration —
 	// one allocation for the whole app, iterated directly by the
 	// deterministic revocation/unregister walks and searched by unit (the
@@ -206,6 +209,12 @@ type Scheduler struct {
 	free  []resource.Vector // machine ID -> owned free vector
 	down  []bool            // machine ID -> down
 	black []bool            // machine ID -> blacklisted
+	// ledgerFP is each machine's commutative grant-ledger fingerprint (the
+	// wrapping sum of protocol.LedgerEntryFP over its granted entries),
+	// kept current by setGranted; FuxiAgents maintain the same digest of
+	// their capacity tables, so a convergence probe compares two integers
+	// per machine instead of materializing both ledgers.
+	ledgerFP []uint64
 
 	apps map[string]*appState
 	// appsSorted mirrors the apps map keys in sorted order (maintained on
@@ -254,6 +263,8 @@ type Scheduler struct {
 	// seenBuf/uniqBuf are the pooled dedup scratch of assignOnIDs.
 	seenBuf []bool
 	uniqBuf []int32
+	// fpBuf is CheckInvariants' reusable fingerprint-recompute scratch.
+	fpBuf []uint64
 }
 
 // assignCtx carries one assignOnMachine invocation's state; fn is the
@@ -279,6 +290,8 @@ func NewScheduler(top *topology.Topology, opts Options) *Scheduler {
 		free:     make([]resource.Vector, n),
 		down:     make([]bool, n),
 		black:    make([]bool, n),
+		ledgerFP: make([]uint64, n),
+		fpBuf:    make([]uint64, n),
 		apps:     make(map[string]*appState),
 		groups:   make(map[string]*groupState),
 		rackFree: make([]resource.Vector, top.NumRacks()),
@@ -372,7 +385,7 @@ func (s *Scheduler) RegisterApp(app, group string, units []resource.ScheduleUnit
 		return fmt.Errorf("master: unknown quota group %q", group)
 	}
 	id := s.appTbl.Intern(app)
-	st := &appState{id: id, name: app, group: group, ep: transport.None}
+	st := &appState{id: id, name: app, group: group, nameHash: protocol.NameHash(app), ep: transport.None}
 	st.unitArr = make([]unitState, 0, len(units))
 	for _, u := range units {
 		if err := u.Validate(); err != nil {
@@ -675,7 +688,7 @@ func (s *Scheduler) adjustFree(id int32, size resource.Vector, k int64) {
 // grantOn commits k containers of u on machine and records the decision.
 func (s *Scheduler) grantOn(st *appState, u *unitState, machine int32, k int, out *[]Decision) {
 	s.adjustFree(machine, u.def.Size, -int64(k))
-	u.granted[machine] += k
+	s.setGranted(st, u, machine, u.granted[machine]+k)
 	u.held += k
 	g := s.groups[st.group]
 	(&g.usage).AddScaledInPlace(u.def.Size, int64(k))
@@ -690,16 +703,27 @@ func (s *Scheduler) releaseOn(st *appState, u *unitState, machine int32, k int) 
 	if !s.down[machine] {
 		s.adjustFree(machine, u.def.Size, int64(k))
 	}
-	u.granted[machine] -= k
-	if u.granted[machine] <= 0 {
-		delete(u.granted, machine)
-	}
+	s.setGranted(st, u, machine, u.granted[machine]-k)
 	u.held -= k
 	g := s.groups[st.group]
 	(&g.usage).AddScaledInPlace(u.def.Size, -int64(k))
 	if len(u.parked) > 0 {
 		s.unpark(u)
 	}
+}
+
+// setGranted is the single mutation point of the grant ledger: it sets u's
+// container count on machine to n (dropping the entry when n <= 0) and moves
+// the machine's ledger fingerprint by the entry's change.
+func (s *Scheduler) setGranted(st *appState, u *unitState, machine int32, n int) {
+	old := u.granted[machine]
+	if n > 0 {
+		u.granted[machine] = n
+	} else {
+		delete(u.granted, machine)
+	}
+	s.ledgerFP[machine] += protocol.LedgerEntryFP(st.nameHash, u.def.ID, n) -
+		protocol.LedgerEntryFP(st.nameHash, u.def.ID, old)
 }
 
 // park pulls a saturated unit's entry out of the wait queues (indexed tree

@@ -3,6 +3,7 @@ package master
 import (
 	"sort"
 
+	"repro/internal/protocol"
 	"repro/internal/resource"
 )
 
@@ -103,6 +104,11 @@ func (s *Scheduler) GrantedOn(app string, unitID int, machine int32) int {
 	}
 	return 0
 }
+
+// LedgerFP returns machine's grant-ledger fingerprint: the wrapping sum of
+// protocol.LedgerEntryFP over every (app, unit, count) granted on it, equal
+// to agent.Agent.LedgerFP of an agent holding the same ledger.
+func (s *Scheduler) LedgerFP(machine int32) uint64 { return s.ledgerFP[machine] }
 
 // Held returns the total containers held by app for a unit.
 func (s *Scheduler) Held(app string, unitID int) int {
@@ -216,7 +222,7 @@ func (s *Scheduler) restoreGrantID(app string, unitID int, machine int32, count 
 		return false
 	}
 	s.adjustFree(machine, u.def.Size, -int64(count))
-	u.granted[machine] += count
+	s.setGranted(st, u, machine, u.granted[machine]+count)
 	u.held += count
 	g := s.groups[st.group]
 	(&g.usage).AddScaledInPlace(u.def.Size, int64(count))
@@ -254,9 +260,12 @@ func (s *Scheduler) SetVirtualResource(machine, dim string, amount int64) []Deci
 // so paper-scale runs can afford to call it every scheduling round.
 func (s *Scheduler) CheckInvariants() []string {
 	var bad []string
-	// One pass over all grants builds the per-machine usage table; the same
+	// One pass over all grants builds the per-machine usage table and
+	// recomputes every machine's ledger fingerprint from scratch; the same
 	// pass checks held == sum(granted) and held <= MaxCount per unit.
 	used := make([]resource.Vector, s.nMach)
+	fp := s.fpBuf
+	clear(fp)
 	for name, st := range s.apps {
 		for ui := range st.unitArr {
 			u := &st.unitArr[ui]
@@ -264,6 +273,7 @@ func (s *Scheduler) CheckInvariants() []string {
 			for m, n := range u.granted {
 				sum += n
 				(&used[m]).AddScaledInPlace(u.def.Size, int64(n))
+				fp[m] += protocol.LedgerEntryFP(st.nameHash, u.def.ID, n)
 			}
 			if sum != u.held {
 				bad = append(bad, "app "+name+": unit held mismatch")
@@ -281,6 +291,10 @@ func (s *Scheduler) CheckInvariants() []string {
 		rack := s.top.RackIDOf(id)
 		(&rackSum[rack]).AddScaledInPlace(s.free[id], 1)
 		(&sumFree).AddScaledInPlace(s.free[id], 1)
+		if fp[id] != s.ledgerFP[id] {
+			// A ledger mutation that bypassed setGranted.
+			bad = append(bad, "machine "+s.top.MachineName(id)+": incremental ledger fingerprint != recomputed")
+		}
 		if s.down[id] {
 			continue
 		}

@@ -210,8 +210,9 @@ func (cz *czState) beginPartition(group []string, dur sim.Time) {
 
 // heal lifts the partition and starts the convergence probe: every
 // chaosConvergePoll, compare each victim machine's agent allocation table
-// against the primary's grant ledger until they all match (or the timeout
-// records the window as unconverged).
+// against the primary's grant ledger (fingerprints first, one exact diff to
+// confirm) until they all match (or the timeout records the window as
+// unconverged).
 func (cz *czState) heal(victims []int32) {
 	h := cz.h
 	cz.partActive--
@@ -247,11 +248,22 @@ func (cz *czState) heal(victims []int32) {
 // convergedAll reports whether every victim machine's agent-side allocation
 // table equals the primary master's grant ledger for that machine. During an
 // interregnum there is no authoritative ledger, so nothing converges.
+//
+// Both sides keep an incrementally maintained ledger fingerprint per
+// machine, so each poll costs two integer reads per victim: a mismatch
+// proves that machine has not converged. Only once every victim matches is
+// the verdict confirmed by the exact ledger diff, which keeps the probe exact
+// even under a fingerprint collision.
 func (cz *czState) convergedAll(victims []int32) bool {
 	h := cz.h
 	s := h.primarySched()
 	if s == nil {
 		return false
+	}
+	for _, id := range victims {
+		if s.LedgerFP(id) != h.agents[id].LedgerFP() {
+			return false
+		}
 	}
 	byMachine := s.GrantedByMachine()
 	for _, id := range victims {

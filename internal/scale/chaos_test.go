@@ -3,7 +3,15 @@ package scale
 import (
 	"testing"
 
+	"repro/internal/agent"
+	"repro/internal/lockservice"
+	"repro/internal/master"
+	"repro/internal/metrics"
+	"repro/internal/protocol"
+	"repro/internal/resource"
 	"repro/internal/sim"
+	"repro/internal/topology"
+	"repro/internal/transport"
 )
 
 // czTiny returns a chaos configuration small enough for unit tests: the
@@ -168,5 +176,108 @@ func TestChaosRejectsGatewayMode(t *testing.T) {
 	cfg.GatewaySubmissions = 10
 	if _, err := Run(cfg); err == nil {
 		t.Error("expected error for chaos + gateway mode")
+	}
+}
+
+// TestConvergenceProbeDetectsSingleUnitDivergence builds a primary master
+// and four agents, brings every agent's capacity table to the primary's
+// grant ledger, and then knocks one victim's table off by a single unit in
+// either direction: the convergence probe must report the victim set
+// unconverged until the table is repaired.
+func TestConvergenceProbeDetectsSingleUnitDivergence(t *testing.T) {
+	top, err := topology.Build(topology.Spec{
+		Racks: 2, MachinesPerRack: 2, MachineCapacity: topology.PaperTestbedMachine(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.NewEngine(1)
+	net := transport.NewNet(eng)
+	m := master.NewMaster(master.DefaultConfig("fm-probe"), eng, net, lockservice.New(eng), top,
+		master.NewCheckpointStore(), metrics.NewRegistry())
+	eng.Run(10 * sim.Millisecond) // election
+	h := &harness{eng: eng, net: net, top: top, masters: []*master.Master{m}}
+	var victims []int32
+	for _, name := range top.Machines() {
+		h.agents = append(h.agents, agent.New(agent.DefaultConfig(), eng, net, top.Machine(name)))
+		victims = append(victims, top.MachineID(name))
+	}
+	cz := &czState{h: h}
+	s := h.primarySched()
+	if s == nil {
+		t.Fatal("no primary master after the election")
+	}
+
+	size := resource.New(1000, 4096)
+	if err := s.RegisterApp("app-a", "", []resource.ScheduleUnit{
+		{ID: 1, Priority: 100, MaxCount: 16, Size: size},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := s.UpdateDemand("app-a", 1, []resource.LocalityHint{
+		{Type: resource.LocalityCluster, Count: 10},
+	})
+	if err != nil || len(ds) == 0 {
+		t.Fatalf("no grants: %v", err)
+	}
+	victim := ds[0].MachineID
+
+	// sync replaces one agent's table with the primary's ledger for its
+	// machine, with app-a's count shifted by off.
+	sync := func(id int32, off int) {
+		var entries []protocol.CapacityEntry
+		if n := s.GrantedOn("app-a", 1, id) + off; n > 0 {
+			entries = append(entries, protocol.CapacityEntry{App: "app-a", UnitID: 1, Size: size, Count: n})
+		}
+		net.Send(protocol.MasterEndpoint, protocol.AgentEndpoint(top.MachineName(id)),
+			protocol.CapacitySync{Machine: id, Entries: entries, Epoch: m.Epoch()})
+		eng.Run(eng.Now() + 5*sim.Millisecond)
+	}
+	for _, id := range victims {
+		sync(id, 0)
+	}
+	if !cz.convergedAll(victims) {
+		t.Fatal("agent tables equal to the primary's ledger reported unconverged")
+	}
+	for _, off := range []int{+1, -1} {
+		sync(victim, off)
+		if cz.convergedAll(victims) {
+			t.Errorf("agent capacity off by %+d on %s reported converged", off, top.MachineName(victim))
+		}
+		sync(victim, 0)
+		if !cz.convergedAll(victims) {
+			t.Errorf("repaired table (after %+d) reported unconverged", off)
+		}
+	}
+}
+
+// TestChaosAllocsWithinTwiceChurn holds chaos allocations per decision
+// within 2x of the same churn workload without faults: the convergence
+// probe and the rest of the chaos observers must not dominate the decision
+// path. Both runs use the smoke footprint (100 machines, 100 apps) with the
+// paper-scale timings, under which the 6-second storm's heal takes the
+// slow (~4 s) repair path and the probe polls some 800 times;
+// SmokeChaosConfig's compressed timings heal within a few polls and would
+// never exercise the probe.
+func TestChaosAllocsWithinTwiceChurn(t *testing.T) {
+	smokeFootprint := func(c Config) Config {
+		c.Racks, c.MachinesPerRack, c.Apps = 10, 10, 100
+		return c
+	}
+	churn, err := Run(smokeFootprint(DefaultChurnConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaos, err := Run(smokeFootprint(DefaultChaosConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chaos.Chaos.ConvergenceMaxMS < 1000 {
+		t.Fatalf("no heal took the slow repair path (max convergence %.0f ms): the probe was not exercised",
+			chaos.Chaos.ConvergenceMaxMS)
+	}
+	if chaos.AllocsPerDecision > 2*churn.AllocsPerDecision {
+		t.Errorf("chaos %.2f allocs/decision > 2x churn %.2f",
+			chaos.AllocsPerDecision, churn.AllocsPerDecision)
 	}
 }
