@@ -95,6 +95,8 @@ const (
 	StateCompleted
 	// StateShed jobs were rejected at submission, with a reason.
 	StateShed
+
+	numStates = StateShed + 1
 )
 
 // DecisionKind labels one record of the admit/shed decision stream.
@@ -290,6 +292,11 @@ type Gateway struct {
 	tenantTbl ident.Table
 	tenants   []tenant
 	jobs      map[string]*jobRec
+	// byState counts the job records in each lifecycle state. setState, the
+	// only writer of jobRec.state, keeps it current, so CheckConservation
+	// compares it with the streaming tallies in O(1) instead of walking a
+	// table that only grows.
+	byState [numStates]uint64
 	// recSlab block-allocates job lifecycle records: the job table keeps a
 	// pointer per job for the whole run (conservation checking needs it),
 	// but the records themselves come 256 to a slab.
@@ -305,8 +312,8 @@ type Gateway struct {
 
 	admLat *metrics.Histogram
 
-	// Streaming tallies; CheckConservation recomputes them from the job
-	// table and flags any drift.
+	// Streaming tallies; CheckConservation compares them with byState (and,
+	// when settled, with a recount of the job table) and flags any drift.
 	submitted, admitted, registered, completed uint64
 	dupSubmits                                 uint64
 	shed                                       [4]uint64 // by DecisionKind - DecisionShedRateLimit
@@ -422,9 +429,7 @@ func (g *Gateway) Submit(j Job) DecisionKind {
 		}
 		tn.tokens--
 	}
-	rec := g.newRec()
-	*rec = jobRec{job: j, state: StateQueued, submittedAt: now}
-	g.jobs[j.ID] = rec
+	g.newRec(j, now, StateQueued)
 	tn.pushJob(j.ID)
 	g.queued++
 	if !tn.active {
@@ -441,22 +446,34 @@ func (g *Gateway) shedDecision(now sim.Time, j Job, kind DecisionKind, keep bool
 	g.shed[kind-DecisionShedRateLimit]++
 	g.cShed[j.Class][kind-DecisionShedRateLimit]++
 	if keep {
-		rec := g.newRec()
-		*rec = jobRec{job: j, state: StateShed, submittedAt: now}
-		g.jobs[j.ID] = rec
+		g.newRec(j, now, StateShed)
 	}
 	g.record(now, j.ID, kind)
 	return kind
 }
 
-// newRec carves one lifecycle record out of the current slab.
-func (g *Gateway) newRec() *jobRec {
+// newRec carves one lifecycle record out of the current slab and files it
+// in the job table in state st.
+func (g *Gateway) newRec(j Job, now sim.Time, st State) {
 	if len(g.recSlab) == 0 {
 		g.recSlab = make([]jobRec, 256)
 	}
 	rec := &g.recSlab[0]
 	g.recSlab = g.recSlab[1:]
-	return rec
+	*rec = jobRec{job: j, submittedAt: now}
+	g.jobs[j.ID] = rec
+	g.setState(rec, st, true)
+}
+
+// setState is the only writer of jobRec.state: it moves the record between
+// the byState counters. A record just filed in the table (fresh) leaves no
+// state behind.
+func (g *Gateway) setState(rec *jobRec, to State, fresh bool) {
+	if !fresh {
+		g.byState[rec.state]--
+	}
+	rec.state = to
+	g.byState[to]++
 }
 
 // refill advances a tenant's token bucket to now with integer arithmetic
@@ -529,7 +546,7 @@ func (g *Gateway) admitOneFrom(c Class) bool {
 			tn.active = false
 		}
 		rec := g.jobs[id]
-		rec.state = StateAdmitted
+		g.setState(rec, StateAdmitted, false)
 		tn.admitted++
 		g.admitted++
 		g.cAdm[c]++
@@ -625,7 +642,7 @@ func (g *Gateway) handle(from transport.EndpointID, msg transport.Message) {
 		if rec == nil || rec.state != StateAdmitted {
 			return // duplicate ack (retry raced the original): already fired
 		}
-		rec.state = StateRegistered
+		g.setState(rec, StateRegistered, false)
 		g.registered++
 		g.cReg[rec.job.Class]++
 		g.admLat.Observe(float64(g.eng.Now()-rec.submittedAt) / float64(sim.Millisecond))
@@ -652,7 +669,7 @@ func (g *Gateway) JobCompleted(id string) bool {
 	if rec == nil || rec.state != StateRegistered {
 		return false
 	}
-	rec.state = StateCompleted
+	g.setState(rec, StateCompleted, false)
 	g.completed++
 	g.cComp[rec.job.Class]++
 	g.inflight--
@@ -673,11 +690,7 @@ func (g *Gateway) ShedTotal() uint64 {
 // Drained reports whether every submission reached a terminal state
 // (completed or shed) — the run-loop exit condition for open-loop drivers.
 func (g *Gateway) Drained() bool {
-	var shed uint64
-	for _, n := range g.shed {
-		shed += n
-	}
-	return g.queued == 0 && g.inflight == 0 && g.completed+shed == g.submitted
+	return g.queued == 0 && g.inflight == 0 && g.completed+g.ShedTotal() == g.submitted
 }
 
 // MasterEpoch returns the highest election epoch observed in acks/hellos.
@@ -839,27 +852,45 @@ func (g *Gateway) Snapshot() *Stats {
 	return s
 }
 
-// CheckConservation recomputes the lifecycle ledger from the job table and
-// returns every deviation from the streaming tallies — the gateway half of
-// the admission-conservation invariant: a submission is never lost (each
-// has exactly one record walking the lifecycle one way) and never
-// duplicated (registration and completion fire at most once per job). With
-// settled true — no control messages in flight and a primary alive — it
-// additionally requires that no admitted job is stranded awaiting an
+// CheckConservation compares the lifecycle ledger with the streaming
+// tallies and returns every deviation — the gateway half of the
+// admission-conservation invariant: a submission is never lost (each has
+// exactly one record walking the lifecycle one way) and never duplicated
+// (registration and completion fire at most once per job).
+//
+// With settled false the ledger is the per-state counters setState
+// maintains, so the check is O(1). With settled true — no control messages
+// in flight and a primary alive — it recounts the whole job table, reports
+// any drift between the counters and the recount, and checks the recount;
+// it additionally requires that no admitted job is stranded awaiting an
 // acknowledgement: however many masters failed over, every admit reached a
 // registration. (Queued and registered-but-running jobs are legitimate at a
 // settled point; end-of-run drainage is the harness's Drained() exit
 // condition, not an invariant.)
 func (g *Gateway) CheckConservation(settled bool) []string {
 	var bad []string
-	var byState [StateShed + 1]uint64
-	for _, rec := range g.jobs {
-		byState[rec.state]++
+	byState := g.byState
+	if settled {
+		var recount [numStates]uint64
+		for _, rec := range g.jobs {
+			recount[rec.state]++
+		}
+		if recount != byState {
+			bad = append(bad, fmt.Sprintf(
+				"admission: per-state counters %v drifted from the job table recount %v: a state change bypassed setState",
+				byState, recount))
+		}
+		byState = recount
 	}
-	var shed uint64
-	for _, n := range g.shed {
-		shed += n
+	var records uint64
+	for _, n := range byState {
+		records += n
 	}
+	if records != uint64(len(g.jobs)) {
+		bad = append(bad, fmt.Sprintf(
+			"admission: per-state counters hold %d records but the job table holds %d", records, len(g.jobs)))
+	}
+	shed := g.ShedTotal()
 	if want := uint64(len(g.jobs)) + g.dupSubmits; g.submitted != want {
 		bad = append(bad, fmt.Sprintf(
 			"admission: %d submissions but %d job records (+%d duplicates): a submission was lost or forged",

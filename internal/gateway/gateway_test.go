@@ -324,6 +324,20 @@ func TestConservationCatchesTampering(t *testing.T) {
 	}
 }
 
+// TestConservationCatchesTamperingDirectStateWrite forges a lifecycle step
+// that bypasses setState: the per-state counters no longer match the job
+// table, and the settled recount must report it.
+func TestConservationCatchesTamperingDirectStateWrite(t *testing.T) {
+	f := newFixture(t, DefaultLimits())
+	f.gw.Submit(Job{ID: "j0", Tenant: "t0", Class: ClassService})
+	f.run(sim.Second)
+	f.check(t, true)
+	f.gw.jobs["j0"].state = StateCompleted // registered -> completed, no counters
+	if bad := f.gw.CheckConservation(true); len(bad) == 0 {
+		t.Fatal("state write bypassing setState not detected by the settled recount")
+	}
+}
+
 func TestBurstSessionTracking(t *testing.T) {
 	lim := DefaultLimits()
 	lim.RefillEvery = 0 // no rate limiting: every submission counts

@@ -187,6 +187,11 @@ func (c *Checker) CheckQuota() []string {
 // job must be registered with the live primary's scheduler exactly as the
 // gateway believes (the cross-component half: an admission the rebuilt
 // master forgot, or one applied twice, surfaces here).
+//
+// Cost model: unsettled, the check compares the gateway's per-state
+// counters with its streaming tallies in O(1), so it can run every virtual
+// second at any footprint. Only a settled check recounts the whole job
+// table (catching counter drift) and walks the open registrations.
 func (c *Checker) CheckAdmission(settled bool) []string {
 	if c.Gateway == nil {
 		return c.record(nil)

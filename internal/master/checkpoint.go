@@ -39,13 +39,27 @@ const defaultCompactEvery = 256
 // the log is compacted into a full anchor snapshot. Checkpoint bytes
 // therefore scale with churn — jobs arriving and stopping — rather than
 // with the amount of state a full snapshot would re-encode on every write.
-// A promotion replays anchor+deltas (Load); the in-memory maps below are
-// the writer's materialized view, used only to encode the next anchor.
+// A promotion replays anchor+deltas (Load); the in-memory state below is
+// the writer's view, used only to assemble the next anchor.
+//
+// Every write costs time proportional to the change: RemoveApp is O(1)
+// (position index plus tombstones), and an anchor is assembled from each
+// live app's cached encoded record instead of re-encoding the snapshot.
 type CheckpointStore struct {
-	epoch     int
-	apps      map[string]AppConfig
-	order     []string
+	epoch int
+	// apps holds the saved applications in first-save order. RemoveApp
+	// leaves a tombstone (live false) that compactApps drops once tombstones
+	// outnumber live entries; pos maps a live name to its index.
+	apps      []ckptApp
+	pos       map[string]int
+	dead      int
 	blacklist []string
+	// arena holds each live app's encoded record — the appendApp bytes its
+	// latest opSaveApp delta carried — at apps[i].off. A replacement appends
+	// a new record, so compact rebuilds the arena in apps order into spare
+	// and swaps the two: records are carved from a reused buffer, not
+	// allocated per SaveApp.
+	arena, spare []byte
 
 	anchor  []byte // last compacted full snapshot (nil = the empty snapshot)
 	log     []byte // delta records appended since the anchor
@@ -83,7 +97,7 @@ type CheckpointStore struct {
 
 // NewCheckpointStore returns an empty store.
 func NewCheckpointStore() *CheckpointStore {
-	return &CheckpointStore{apps: make(map[string]AppConfig)}
+	return &CheckpointStore{pos: make(map[string]int)}
 }
 
 // Bytes returns the total bytes written to durable storage (deltas plus
@@ -116,21 +130,42 @@ func (c *CheckpointStore) wrote(recStart int) {
 	}
 }
 
-// compact folds the delta log into a fresh full anchor snapshot.
+// compact folds the delta log into a fresh full anchor snapshot. The anchor
+// is the EncodeSnapshot image of the writer's view, assembled from the
+// cached records: the app section of an encoded snapshot is exactly the
+// live records in order, which is what the rebuilt arena holds.
 func (c *CheckpointStore) compact() {
-	c.anchor = EncodeSnapshot(c.materialize())
+	c.spare = c.spare[:0]
+	for i := range c.apps {
+		if e := &c.apps[i]; e.live {
+			off := len(c.spare)
+			c.spare = append(c.spare, c.arena[e.off:e.off+e.n]...)
+			e.off = off
+		}
+	}
+	c.arena, c.spare = c.spare, c.arena
+	b := make([]byte, 0, 64+len(c.arena)+32*len(c.blacklist))
+	b = append(b, snapshotVersion)
+	b = binary.AppendUvarint(b, uint64(c.epoch))
+	b = binary.AppendUvarint(b, uint64(len(c.apps)-c.dead))
+	b = append(b, c.arena...)
+	c.anchor = appendStrings(b, c.blacklist)
 	c.AnchorBytes += int64(len(c.anchor))
 	c.log = c.log[:0]
 	c.logRecs = 0
 	c.Compactions++
 }
 
-// materialize builds the writer's current Snapshot view (for anchors and
-// the full-cost counterfactual; promotions never read it — see Load).
+// materialize builds the writer's current Snapshot view from the saved
+// configs, independently of the cached records: the full-cost
+// counterfactual encodes it, and every anchor must equal its encoding.
+// Promotions never read it (see Load).
 func (c *CheckpointStore) materialize() Snapshot {
 	s := Snapshot{Epoch: c.epoch}
-	for _, name := range c.order {
-		s.Apps = append(s.Apps, c.apps[name])
+	for i := range c.apps {
+		if c.apps[i].live {
+			s.Apps = append(s.Apps, c.apps[i].cfg)
+		}
 	}
 	s.Blacklist = append([]string(nil), c.blacklist...)
 	return s
@@ -147,29 +182,41 @@ func (c *CheckpointStore) BumpEpoch() int {
 	return c.epoch
 }
 
-// SaveApp records an application's configuration.
+// ckptApp is one saved application: its config (the materialized view)
+// and the position of its encoded record in the store's arena.
+type ckptApp struct {
+	cfg    AppConfig
+	off, n int
+	live   bool
+}
+
+// SaveApp records an application's configuration. A new app is appended
+// to the order; a saved one is replaced in place.
 func (c *CheckpointStore) SaveApp(a AppConfig) {
-	if _, ok := c.apps[a.Name]; !ok {
-		c.order = append(c.order, a.Name)
-	}
-	c.apps[a.Name] = a
 	start := len(c.log)
 	c.log = append(c.log, opSaveApp)
 	c.log = appendApp(c.log, a)
+	e := ckptApp{cfg: a, off: len(c.arena), n: len(c.log) - start - 1, live: true}
+	c.arena = append(c.arena, c.log[start+1:]...)
+	if i, ok := c.pos[a.Name]; ok {
+		c.apps[i] = e
+	} else {
+		c.pos[a.Name] = len(c.apps)
+		c.apps = append(c.apps, e)
+	}
 	c.wrote(start)
 }
 
 // RemoveApp deletes an application's record (job stopped).
 func (c *CheckpointStore) RemoveApp(name string) {
-	if _, ok := c.apps[name]; !ok {
+	i, ok := c.pos[name]
+	if !ok {
 		return
 	}
-	delete(c.apps, name)
-	for i, n := range c.order {
-		if n == name {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
+	delete(c.pos, name)
+	c.apps[i] = ckptApp{}
+	if c.dead++; c.dead > len(c.apps)-c.dead {
+		c.compactApps()
 	}
 	start := len(c.log)
 	c.log = append(c.log, opRemoveApp)
@@ -177,15 +224,29 @@ func (c *CheckpointStore) RemoveApp(name string) {
 	c.wrote(start)
 }
 
+// compactApps drops the tombstones from apps, keeping the live order and
+// re-indexing pos; RemoveApp runs it once tombstones outnumber live
+// entries, so its cost is amortized O(1) per removal.
+func (c *CheckpointStore) compactApps() {
+	w := 0
+	for _, e := range c.apps {
+		if e.live {
+			c.apps[w] = e
+			c.pos[e.cfg.Name] = w
+			w++
+		}
+	}
+	clear(c.apps[w:])
+	c.apps = c.apps[:w]
+	c.dead = 0
+}
+
 // SetBlacklist replaces the persisted cluster blacklist.
 func (c *CheckpointStore) SetBlacklist(machines []string) {
 	c.blacklist = append([]string(nil), machines...)
 	start := len(c.log)
 	c.log = append(c.log, opSetBlacklist)
-	c.log = binary.AppendUvarint(c.log, uint64(len(machines)))
-	for _, m := range machines {
-		c.log = appendString(c.log, m)
-	}
+	c.log = appendStrings(c.log, machines)
 	c.wrote(start)
 	c.BlacklistWrites++
 }
@@ -235,6 +296,15 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// appendStrings encodes a count-prefixed string list (the blacklist).
+func appendStrings(b []byte, ss []string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ss)))
+	for _, s := range ss {
+		b = appendString(b, s)
+	}
+	return b
+}
+
 func appendVector(b []byte, v resource.Vector) []byte {
 	// ForEachDimension, not Dimensions: this runs per unit on every delta
 	// record and anchor encode, and the sorted-copy allocation showed up
@@ -276,11 +346,7 @@ func EncodeSnapshot(s Snapshot) []byte {
 	for _, a := range s.Apps {
 		b = appendApp(b, a)
 	}
-	b = binary.AppendUvarint(b, uint64(len(s.Blacklist)))
-	for _, m := range s.Blacklist {
-		b = appendString(b, m)
-	}
-	return b
+	return appendStrings(b, s.Blacklist)
 }
 
 // snapshotReader is a cursor over an encoded snapshot.

@@ -2,6 +2,7 @@ package master
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/resource"
@@ -134,6 +135,51 @@ func FuzzCheckpointSnapshotDecode(f *testing.F) {
 		enc2 := EncodeSnapshot(s2)
 		if !bytes.Equal(enc1, enc2) {
 			t.Fatalf("encode/decode fixpoint diverged:\n%x\n%x", enc1, enc2)
+		}
+	})
+}
+
+// FuzzCheckpointAnchorIdentity runs random write sequences — new apps,
+// in-place replacements, re-saves after removal, removals, blacklist and
+// epoch writes — against a store with a small anchor cadence. Every anchor
+// the store assembles from its cached records must be byte-identical to a
+// full EncodeSnapshot of the writer's view, and Load (anchor plus delta
+// replay) must reproduce that view after every write.
+func FuzzCheckpointAnchorIdentity(f *testing.F) {
+	f.Add([]byte{2, 0, 0, 0, 7, 0, 1, 1, 0, 0, 13, 3, 0, 0, 0})
+	f.Add([]byte{0, 0, 1, 0, 2, 0, 3, 1, 1, 0, 8, 2, 3, 1, 2, 0, 14, 1, 0, 0, 4})
+	f.Add([]byte{4, 0, 5, 0, 11, 0, 17, 1, 5, 0, 5, 2, 0, 1, 11, 0, 11, 3, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		c := NewCheckpointStore()
+		c.CompactEvery = 1 + int(data[0]%5)
+		for i := 1; i+1 < len(data); i += 2 {
+			op, x := data[i]%4, data[i+1]
+			name := fmt.Sprintf("app-%d", x%6)
+			compactions := c.Compactions
+			switch op {
+			case 0:
+				c.SaveApp(AppConfig{Name: name, Group: fmt.Sprintf("g%d", x/6%2), Units: deltaUnits(1 + int(x/12)%3)})
+			case 1:
+				c.RemoveApp(name)
+			case 2:
+				black := make([]string, x%4)
+				for j := range black {
+					black[j] = fmt.Sprintf("m-%d", (int(x)+j)%7)
+				}
+				c.SetBlacklist(black)
+			case 3:
+				c.BumpEpoch()
+			}
+			want := EncodeSnapshot(c.materialize())
+			if c.Compactions != compactions && !bytes.Equal(c.anchor, want) {
+				t.Fatalf("step %d: anchor diverged from the full encode\n got %x\nwant %x", i, c.anchor, want)
+			}
+			if got := EncodeSnapshot(c.Load()); !bytes.Equal(got, want) {
+				t.Fatalf("step %d: Load diverged from the writer's view\n got %x\nwant %x", i, got, want)
+			}
 		}
 	})
 }

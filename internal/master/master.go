@@ -1231,6 +1231,9 @@ func (m *Master) sendCapacitySync(mc int32) {
 	var entries []protocol.CapacityEntry
 	for _, app := range m.sched.appsSorted {
 		st := m.sched.apps[app]
+		if st == nil {
+			continue
+		}
 		for i := range st.unitArr {
 			u := &st.unitArr[i]
 			if n := u.granted[mc]; n > 0 {

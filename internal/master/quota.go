@@ -52,13 +52,11 @@ func (s *Scheduler) QuotaDeficits() []string {
 		return nil
 	}
 	var bad []string
-	appNames := make([]string, 0, len(s.apps))
-	for name := range s.apps {
-		appNames = append(appNames, name)
-	}
-	sort.Strings(appNames)
-	for _, name := range appNames {
+	for _, name := range s.appsSorted {
 		st := s.apps[name]
+		if st == nil {
+			continue
+		}
 		g := s.groups[st.group]
 		if g.min.IsZero() {
 			continue // no guaranteed minimum
@@ -138,13 +136,11 @@ func (s *Scheduler) preemptQuota(st *appState, u *unitState, deficit int) []Deci
 // first, with deterministic tie-breaks.
 func (s *Scheduler) collectVictims(match func(*appState, *unitState) bool) []victimGrant {
 	var victims []victimGrant
-	appNames := make([]string, 0, len(s.apps))
-	for name := range s.apps {
-		appNames = append(appNames, name)
-	}
-	sort.Strings(appNames)
-	for _, name := range appNames {
+	for _, name := range s.appsSorted {
 		vapp := s.apps[name]
+		if vapp == nil {
+			continue
+		}
 		for ui := range vapp.unitArr {
 			vu := &vapp.unitArr[ui]
 			if !match(vapp, vu) {

@@ -217,9 +217,13 @@ type Scheduler struct {
 	ledgerFP []uint64
 
 	apps map[string]*appState
-	// appsSorted mirrors the apps map keys in sorted order (maintained on
-	// register/unregister), so evacuation sweeps need not sort per call.
+	// appsSorted holds every registered name in sorted order, so sweeps
+	// need not sort per call. An unregistered name stays behind as a
+	// tombstone (s.apps[name] == nil; readers skip it) until deadApps
+	// outnumbers the live names, and a re-registered name revives its slot
+	// in place: unregistering costs no memmove.
 	appsSorted []string
+	deadApps   int
 	appTbl     ident.Table // app name -> dense app ID (registration order)
 	appByID    []*appState // app ID -> live state (nil after unregister)
 	groups     map[string]*groupState
@@ -404,10 +408,13 @@ func (s *Scheduler) RegisterApp(app, group string, units []resource.ScheduleUnit
 		s.appByID = append(s.appByID, nil)
 	}
 	s.appByID[id] = st
-	i := sort.SearchStrings(s.appsSorted, app)
-	s.appsSorted = append(s.appsSorted, "")
-	copy(s.appsSorted[i+1:], s.appsSorted[i:])
-	s.appsSorted[i] = app
+	if i := sort.SearchStrings(s.appsSorted, app); i < len(s.appsSorted) && s.appsSorted[i] == app {
+		s.deadApps-- // revive the tombstone
+	} else {
+		s.appsSorted = append(s.appsSorted, "")
+		copy(s.appsSorted[i+1:], s.appsSorted[i:])
+		s.appsSorted[i] = app
+	}
 	g.apps[app] = true
 	return nil
 }
@@ -442,10 +449,25 @@ func (s *Scheduler) UnregisterApp(app string) []Decision {
 	delete(s.groups[st.group].apps, app)
 	delete(s.apps, app)
 	s.appByID[st.id] = nil
-	if i := sort.SearchStrings(s.appsSorted, app); i < len(s.appsSorted) && s.appsSorted[i] == app {
-		s.appsSorted = append(s.appsSorted[:i], s.appsSorted[i+1:]...)
+	if s.deadApps++; s.deadApps > len(s.appsSorted)-s.deadApps {
+		s.compactAppsSorted()
 	}
 	return s.assignOnIDs(touched)
+}
+
+// compactAppsSorted drops the tombstones from appsSorted; UnregisterApp
+// runs it once they outnumber the live names, so its cost is amortized
+// O(1) per unregister.
+func (s *Scheduler) compactAppsSorted() {
+	live := s.appsSorted[:0]
+	for _, name := range s.appsSorted {
+		if s.apps[name] != nil {
+			live = append(live, name)
+		}
+	}
+	clear(s.appsSorted[len(live):])
+	s.appsSorted = live
+	s.deadApps = 0
 }
 
 // UpdateDemand applies incremental per-locality demand deltas for one unit
@@ -985,6 +1007,9 @@ func (s *Scheduler) evacuate(machine int32, reason Reason) []Decision {
 	name := s.top.MachineName(machine)
 	for _, appName := range s.appsSorted {
 		st := s.apps[appName]
+		if st == nil {
+			continue
+		}
 		for i := range st.unitArr {
 			u := &st.unitArr[i]
 			if n := u.granted[machine]; n > 0 {

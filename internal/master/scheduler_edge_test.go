@@ -1,6 +1,7 @@
 package master
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/resource"
@@ -144,4 +145,75 @@ func TestRevokeExistingOnBlacklist(t *testing.T) {
 		}
 		checkInv(t, s)
 	})
+}
+
+// TestUnregisterTombstonesKeepNameOrder unregisters and re-registers names
+// through the sorted-name index's tombstone, revival and compaction paths:
+// Apps must list only live names, sorted and unique, the always-on
+// invariants must hold, and an evacuation must revoke in app-name order.
+func TestUnregisterTombstonesKeepNameOrder(t *testing.T) {
+	s := NewScheduler(testTop(t, 2, 2), Options{})
+	live := map[string]bool{}
+	register := func(app string) {
+		t.Helper()
+		mustRegister(t, s, app, "", unit(1, 1, 10, 1000, 2048))
+		mustDemand(t, s, app, 1, resource.LocalityHint{Type: resource.LocalityMachine, Value: "r000m000", Count: 1})
+		live[app] = true
+	}
+	unregister := func(app string) {
+		t.Helper()
+		s.UnregisterApp(app)
+		delete(live, app)
+	}
+	check := func(step string) {
+		t.Helper()
+		checkInv(t, s)
+		var want []string
+		for app := range live {
+			want = append(want, app)
+		}
+		slices.Sort(want)
+		if got := s.Apps(); !slices.Equal(got, want) {
+			t.Fatalf("%s: Apps() = %v, want %v", step, got, want)
+		}
+	}
+	for _, app := range []string{"a", "b", "c", "d", "e", "f"} {
+		register(app)
+	}
+	check("registered")
+	unregister("b")
+	unregister("d")
+	if s.deadApps != 2 {
+		t.Fatalf("deadApps = %d after two unregisters, want 2 tombstones", s.deadApps)
+	}
+	check("tombstoned")
+	register("d") // revives its slot in place
+	if s.deadApps != 1 || len(s.appsSorted) != 6 {
+		t.Fatalf("revival: deadApps = %d, %d slots; want 1 and 6", s.deadApps, len(s.appsSorted))
+	}
+	check("revived")
+	for _, app := range []string{"a", "c", "e"} {
+		unregister(app)
+		check("unregistered " + app)
+	}
+	if s.deadApps != 0 || len(s.appsSorted) != len(live) {
+		t.Fatalf("no compaction: deadApps = %d, %d slots for %d live apps", s.deadApps, len(s.appsSorted), len(live))
+	}
+	for _, app := range []string{"c", "a", "b", "g"} {
+		register(app)
+		check("re-registered " + app)
+	}
+
+	var got []string
+	for _, d := range s.MachineDown("r000m000") {
+		if d.Delta >= 0 {
+			t.Fatalf("evacuation emitted a grant: %+v", d)
+		}
+		got = append(got, d.App)
+	}
+	want := s.Apps()
+	if !slices.Equal(got, want) {
+		t.Fatalf("evacuation revoked %v, want one revocation per live app in name order %v", got, want)
+	}
+	checkInv(t, s)
 }

@@ -2,6 +2,7 @@ package master
 
 import (
 	"sort"
+	"strconv"
 
 	"repro/internal/protocol"
 	"repro/internal/resource"
@@ -172,7 +173,13 @@ func (s *Scheduler) GroupUsage(group string) resource.Vector {
 
 // Apps returns the sorted registered application names.
 func (s *Scheduler) Apps() []string {
-	return append([]string(nil), s.appsSorted...)
+	out := make([]string, 0, len(s.apps))
+	for _, name := range s.appsSorted {
+		if s.apps[name] != nil {
+			out = append(out, name)
+		}
+	}
+	return out
 }
 
 // AppGroup returns the quota group of an app ("" when unknown).
@@ -260,6 +267,9 @@ func (s *Scheduler) SetVirtualResource(machine, dim string, amount int64) []Deci
 // so paper-scale runs can afford to call it every scheduling round.
 func (s *Scheduler) CheckInvariants() []string {
 	var bad []string
+	if live := len(s.appsSorted) - s.deadApps; live != len(s.apps) {
+		bad = append(bad, "sorted app index holds "+strconv.Itoa(live)+" live names but "+strconv.Itoa(len(s.apps))+" apps are registered")
+	}
 	// One pass over all grants builds the per-machine usage table and
 	// recomputes every machine's ledger fingerprint from scratch; the same
 	// pass checks held == sum(granted) and held <= MaxCount per unit.
