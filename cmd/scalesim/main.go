@@ -8,77 +8,74 @@
 // -shard-counts, reporting speedups and the common-completed-prefix latency
 // so the wall-budget-truncated baseline stays comparable.
 //
-// With -gateway the workload instead flows through the multi-tenant
-// submission gateway (internal/gateway): an open-loop load generator
-// simulating a million-tenant population submits jobs through admission
-// control, rate limiting and weighted-fair dequeue, through a master
-// failover, with the admission-conservation invariant checked; the
-// measurements land in the `gateway` section of the output (use -merge to
-// fold that section into an existing BENCH_scale.json without discarding
-// the other sections).
+// Every other mode is one row of a scenario table and runs one
+// configuration through the same path (build config, scale.Run, diff
+// against -prev, print, gate, contract); its result is the BENCH_scale.json
+// section of the same name (-merge folds it into an existing file without
+// discarding the other sections):
 //
-// With -dataplane the workload is the paper's data plane running on the
-// scheduled cluster (internal/scale dataplane mode): GraySort map/sort/merge
-// chains with Pangu chunk locality and sampled kernel verification, Figure 6
-// DAG pipelines, and long-running streamline service residents sharing the
-// cluster with batch through the gateway's priority classes. The
-// application-level measurements — job makespan, locality hit rate, shuffle
-// volume, per-class SLO attainment — land in the `dataplane` section.
+//   - -churn: steady-state release/re-demand cycling, measured after warmup.
+//   - -tenx: the churn workload at 10× footprint (50k machines, 1M units).
+//   - -master-failover: the classic workload through mid-run master crashes
+//     (hot-standby promotion) with the invariant checker attached.
+//   - -gateway: an open-loop million-tenant load generator submits through
+//     the multi-tenant submission gateway (internal/gateway) — admission
+//     control, rate limiting, weighted-fair dequeue — through a master
+//     failover, with admission conservation checked.
+//   - -dataplane: GraySort map/sort/merge chains with Pangu chunk locality
+//     and sampled kernel verification, Figure 6 DAG pipelines and
+//     streamline service residents sharing the scheduled cluster; records
+//     makespan, locality hit rate, shuffle volume and per-class SLOs.
+//   - -replay: a diurnal nonhomogeneous-Poisson session process over the
+//     million-tenant population with heavy-tailed job bursts, failure storms
+//     (internal/faults campaigns) and a master failover; records per-class
+//     admission and demand-to-grant SLO attainment, shed and preemption
+//     rates and per-phase utilization.
+//   - -chaos: churn under partition storms, link flaps, delay spikes and a
+//     lock-service partition forcing a dueling-masters promotion; records
+//     convergence-after-heal percentiles, lost/reissued grants and per-link
+//     loss attribution.
+//   - -obs: churn with the master's ring-buffered time-series plane, live
+//     windowed queries over the simulated transport and the incremental
+//     delta checkpoint log; records ring shape, query totals, link-loss
+//     attribution and checkpoint byte accounting.
 //
-// With -replay the workload is a trace-driven diurnal replay (internal/scale
-// replay mode): a nonhomogeneous-Poisson session process sweeps a sinusoidal
-// day over the million-tenant population, each session submitting a
-// correlated burst of heavy-tailed jobs, with machine-failure storms
-// (internal/faults campaigns) landing mid-replay and one master failover.
-// Per-class admission and demand-to-grant SLO attainment, shed and
-// preemption rates, and per-phase (peak/trough/storm) utilization land in
-// the `replay` section, with the deterministic decision hash pinned across
-// scheduler shard counts.
+// With no mode flag it runs the classic workload once (the `optimized`
+// section). -smp sweeps shard counts over the core kernel and the
+// rounds/churn workloads, checking decision-stream parity, and writes
+// BENCH_scale_smp.json. At most one of the mode flags may be given;
+// -compare takes -master-failover and -gateway as add-on sections.
 //
-// With -chaos the steady-state churn workload runs under an adversarial
-// network schedule (internal/scale chaos mode): partition storms isolating
-// agent groups from the control plane — one longer than the heartbeat
-// timeout, one shorter — link flaps, delay spikes, and a lock-service
-// partition of the primary master forcing a dueling-masters promotion. The
-// run must keep the invariant checker silent and reconverge every victim
-// machine's ledger after each heal; convergence-time percentiles,
-// lost/reissued grant counts and per-link loss attribution land in the
-// `chaos` section and are budget-gated.
+// Every run checks its scenario's contract: the invariant checker stays
+// silent and the workload drains (every app completes, every submission
+// settles, every storm lands and heals, ...). Each broken clause is printed
+// by name and fails the run. With -check-budgets the run is also a
+// regression gate against the `budgets` table of the -prev file: one row
+// per gated metric, {"section", "metric", "min" or "max", "smoke"}, where
+// metric is a dotted JSON path inside that section's result (for example
+// "replay.service.admission_p99_ms"), rows naming `parallel` apply to each
+// element, and smoke replaces the bound under -smoke. To change a bound,
+// edit its row; to add a gate, add a row. Code never rewrites the table:
+// -merge leaves it in place and -compare and -smp carry it over unchanged.
+// A row whose metric does not resolve fails, and -check-budgets without a
+// table is a usage error. -prev also tags the output with the sections the
+// old baseline predates (a tagged skip, not an error).
 //
-// With -obs the churn workload runs with the observability plane enabled
-// (internal/scale obs mode): the master records a ring-buffered in-memory
-// time-series of per-round cluster state — free/granted capacity per rack,
-// queue depths per size class, preemption and flap totals, per-link loss on
-// watched machine links, checkpoint write/byte counters — with a strictly
-// alloc-free record path, while a query client interrogates it live over the
-// simulated transport (windowed scans with last/min/max/p50/p99 downsampling
-// and rack/class group-by). The master checkpoints through the incremental
-// delta log (anchor snapshots plus per-mutation deltas, periodic
-// compaction), and the measured byte saving over snapshot-per-write is
-// gated. Ring shape, query conversation totals and checksum, link-loss
-// attribution and checkpoint accounting land in the `obs` section.
-//
-// With -check-budgets the run is a CI regression gate: it exits non-zero
-// when allocs/decision, messages/grant, or (gateway mode) allocs/admission
-// and messages/admission exceed the budgets (which are also recorded in the
-// output JSON). With -prev the budgets default to the ones recorded in a
-// previous BENCH_scale.json, and the report is tagged with any sections
-// this build produces that the old baseline predates (a pre-gateway
-// baseline missing the `gateway` section is a tagged skip, not an error).
+// Exit status: 0 pass, 1 contract or budget failure, 2 usage error.
 //
 // Usage:
 //
 //	go run ./cmd/scalesim                     # full paper-scale run
 //	go run ./cmd/scalesim -smoke              # CI-sized smoke run
-//	go run ./cmd/scalesim -compare -out BENCH_scale.json
-//	go run ./cmd/scalesim -smoke -check-budgets   # perf regression gate
+//	go run ./cmd/scalesim -compare -prev BENCH_scale.json -out BENCH_scale.json
+//	go run ./cmd/scalesim -smoke -check-budgets -prev BENCH_scale.json
 //	go run ./cmd/scalesim -gateway -merge -out BENCH_scale.json
-//	go run ./cmd/scalesim -gateway -smoke -check-budgets -prev BENCH_scale.json
-//	go run ./cmd/scalesim -obs -merge -out BENCH_scale.json
+//	go run ./cmd/scalesim -obs -smoke -check-budgets -prev BENCH_scale.json
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -93,92 +90,127 @@ import (
 	"repro/internal/sim"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:])) }
 
-func run() int {
+// scenario is one single-run mode: the flag that selects it, the section
+// its result is gated, diffed and merged under, its paper-scale and smoke
+// configurations, and the scenario's own flag overrides (applied after the
+// shared ones).
+type scenario struct {
+	flag, usage    string
+	section, label string
+	paper, smoke   func() scale.Config
+	extra          func(*scale.Config)
+	on             *bool
+}
+
+func run(args []string) int {
+	fs := flag.NewFlagSet("scalesim", flag.ContinueOnError)
 	var (
-		smoke    = flag.Bool("smoke", false, "run the CI-sized smoke configuration (100 machines)")
-		compare  = flag.Bool("compare", false, "also run the legacy-scheduler baseline and the parallel sections, reporting speedups")
-		out      = flag.String("out", "BENCH_scale.json", "output JSON path (- for stdout only)")
-		merge    = flag.Bool("merge", false, "merge this run's section into an existing -out file instead of overwriting it (single-run modes only)")
-		prev     = flag.String("prev", "", "previous BENCH_scale.json: budgets default to its recorded values and missing sections are tagged as skipped, not errors")
-		racks    = flag.Int("racks", 0, "override rack count")
-		perRack  = flag.Int("machines-per-rack", 0, "override machines per rack")
-		apps     = flag.Int("apps", 0, "override application count")
-		units    = flag.Int("units-per-app", 0, "override schedule units per app")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		horizonS = flag.Int("horizon-sec", 0, "override simulation horizon (seconds)")
-		budget   = flag.Duration("baseline-budget", 2*time.Minute,
+		smoke    = fs.Bool("smoke", false, "run the CI-sized smoke configuration (100 machines)")
+		compare  = fs.Bool("compare", false, "also run the legacy-scheduler baseline and the parallel sections, reporting speedups")
+		out      = fs.String("out", "BENCH_scale.json", "output JSON path (- for stdout only)")
+		merge    = fs.Bool("merge", false, "merge this run's section into an existing -out file instead of overwriting it (single-run modes only)")
+		prev     = fs.String("prev", "", "previous BENCH_scale.json: its budgets table drives -check-budgets, and sections it lacks are tagged as skipped, not errors")
+		racks    = fs.Int("racks", 0, "override rack count")
+		perRack  = fs.Int("machines-per-rack", 0, "override machines per rack")
+		apps     = fs.Int("apps", 0, "override application count")
+		units    = fs.Int("units-per-app", 0, "override schedule units per app")
+		seed     = fs.Int64("seed", 1, "simulation seed")
+		horizonS = fs.Int("horizon-sec", 0, "override simulation horizon (seconds)")
+		budget   = fs.Duration("baseline-budget", 2*time.Minute,
 			"wall-clock budget for the -compare baseline run (it is rate-measured, not run to completion)")
-		legacy    = flag.Bool("legacy", false, "run only the legacy baseline scheduler")
-		shards    = flag.Int("shards", 0, "scheduler shard count for single runs (0 = GOMAXPROCS; >1 enables batched rounds)")
-		shardList = flag.String("shard-counts", "1,4,8", "comma-separated shard counts for the -compare parallel sections")
-		roundMS   = flag.Int("round-window-ms", 0, "scheduling-round width in virtual ms (0 = default when sharded, off otherwise)")
-		mfailover = flag.Bool("master-failover", false,
-			"crash the active FuxiMaster mid-run (hot-standby promotion) and attach the cluster-wide invariant checker")
-		mfCount = flag.Int("master-failovers", 3, "number of mid-run master crashes in -master-failover mode")
-		gw      = flag.Bool("gateway", false,
-			"run the multi-tenant submission-gateway scenario (1M-user load generator, admission control, master failover, admission-conservation checks)")
-		gwUsers     = flag.Int("users", 0, "override the gateway tenant population")
-		gwSubs      = flag.Int("submissions", 0, "override the gateway submission count")
-		gwFailovers = flag.Int("gateway-failovers", 1, "number of mid-run master crashes in -gateway mode (0 disables)")
-		churn       = flag.Bool("churn", false,
-			"run the steady-state churn benchmark (long-horizon release/re-demand cycling, no failovers; measured after warmup)")
-		dataplane = flag.Bool("dataplane", false,
-			"run the data-plane scenario (GraySort chains, Figure 6 DAGs and streamline service residents on the scheduled cluster, with locality and kernel verification)")
-		replay = flag.Bool("replay", false,
-			"run the trace-driven replay scenario (diurnal million-tenant workload with burst sessions, heavy-tailed job shapes, failure storms and per-class SLO gates)")
-		rpDays   = flag.Int("replay-days", 0, "override the number of simulated days in -replay mode")
-		rpDaySec = flag.Int("replay-day-sec", 0, "override the simulated day length (seconds) in -replay mode")
-		rpRate   = flag.Float64("replay-sessions-per-sec", 0, "override the day-average session arrival rate in -replay mode")
-		rpStorm  = flag.Float64("replay-storm-pct", 0, "override the storm victim percentage in -replay mode")
-		chaos    = flag.Bool("chaos", false,
-			"run the churn workload under an adversarial network schedule (partition storms, link flaps, delay spikes, lock-service partition) with convergence-after-heal gates")
-		czPct = flag.Float64("chaos-partition-pct", 0, "override the partitioned machine percentage per storm in -chaos mode")
-		obsM  = flag.Bool("obs", false,
-			"run the churn workload with the observability plane (ring-buffered master time-series, live queries over transport, incremental delta checkpoints) and record the `obs` section")
-		obsRetain = flag.Int("obs-retain", 0, "override the time-series ring capacity (rows) in -obs mode")
-		smpMode   = flag.Bool("smp", false,
+		legacy      = fs.Bool("legacy", false, "run only the legacy baseline scheduler")
+		shards      = fs.Int("shards", 0, "scheduler shard count for single runs (0 = GOMAXPROCS; >1 enables batched rounds)")
+		shardList   = fs.String("shard-counts", "1,4,8", "comma-separated shard counts for the -compare parallel sections")
+		roundMS     = fs.Int("round-window-ms", 0, "scheduling-round width in virtual ms (0 = default when sharded, off otherwise)")
+		mfCount     = fs.Int("master-failovers", 3, "number of mid-run master crashes in -master-failover mode")
+		gwUsers     = fs.Int("users", 0, "override the gateway tenant population")
+		gwSubs      = fs.Int("submissions", 0, "override the gateway submission count")
+		gwFailovers = fs.Int("gateway-failovers", 1, "number of mid-run master crashes in -gateway mode (0 disables)")
+		rpDays      = fs.Int("replay-days", 0, "override the number of simulated days in -replay mode")
+		rpDaySec    = fs.Int("replay-day-sec", 0, "override the simulated day length (seconds) in -replay mode")
+		rpRate      = fs.Float64("replay-sessions-per-sec", 0, "override the day-average session arrival rate in -replay mode")
+		rpStorm     = fs.Float64("replay-storm-pct", 0, "override the storm victim percentage in -replay mode")
+		czPct       = fs.Float64("chaos-partition-pct", 0, "override the partitioned machine percentage per storm in -chaos mode")
+		obsRetain   = fs.Int("obs-retain", 0, "override the time-series ring capacity (rows) in -obs mode")
+		smpMode     = fs.Bool("smp", false,
 			"run the SMP bench lane (core-kernel + rounds + churn at each -smp-shard-counts entry, decision-stream parity, wall-clock speedups); writes BENCH_scale_smp.json unless -out is set")
-		smpShards = flag.String("smp-shard-counts", "1,2,4,8", "comma-separated shard counts for the -smp sweep (first entry is the speedup baseline)")
-		tenx      = flag.Bool("tenx", false,
-			"run the 10x footprint (50k machines, 1M schedule units) churn workload with the invariant checker attached and record the `tenx` section")
-		minSMPSpeedup = flag.Float64("min-smp-core-speedup", 2.0,
-			"minimum core-lane wall-clock speedup at shards=4 enforced by -check-budgets in -smp mode on hosts with >= 4 cores (skipped with a tagged note otherwise)")
-		gate          = flag.Bool("check-budgets", false, "exit non-zero when the run exceeds the perf budgets (CI regression gate)")
-		maxObsAllocs  = flag.Float64("max-obs-allocs-per-sample", 0.004, "obs record-path allocs/sample budget enforced by -check-budgets in -obs mode (default trips on any allocation during calibration)")
-		maxCkptBpj    = flag.Float64("max-checkpoint-bytes-per-job", 0, "checkpoint bytes per registered job budget enforced by -check-budgets in -obs mode (0 disables; -prev supplies the recorded value)")
-		maxAllocs     = flag.Float64("max-allocs-per-decision", 10, "allocs/decision budget enforced by -check-budgets")
-		maxMsgPerG    = flag.Float64("max-messages-per-grant", 5.5, "messages/grant budget enforced by -check-budgets")
-		maxAllocsAdm  = flag.Float64("max-allocs-per-admission", 60, "allocs/admission budget enforced by -check-budgets in -gateway mode")
-		maxMsgAdm     = flag.Float64("max-messages-per-admission", 25, "messages/admission budget enforced by -check-budgets in -gateway mode")
-		maxAllocsChur = flag.Float64("max-allocs-per-decision-churn", 8, "steady-state allocs/decision budget enforced by -check-budgets in -churn mode")
-		maxAllocsFo   = flag.Float64("max-allocs-per-decision-failover", 15, "allocs/decision budget enforced by -check-budgets on master-failover scenarios")
-		minDpLocality = flag.Float64("min-dataplane-locality-pct", 40, "minimum locality hit rate enforced by -check-budgets in -dataplane mode")
-		maxDpMakespan = flag.Float64("max-dataplane-makespan-p99-ms", 0, "batch-job makespan p99 budget (virtual ms) enforced by -check-budgets in -dataplane mode (0 disables; -prev supplies the recorded value)")
-		minDpSLO      = flag.Float64("min-dataplane-service-slo-pct", 80, "minimum service-class demand-to-grant SLO attainment enforced by -check-budgets in -dataplane mode")
-		minRpSLO      = flag.Float64("min-replay-service-slo-pct", 80, "minimum service-class demand-to-grant SLO attainment enforced by -check-budgets in -replay mode")
-		maxRpAdmP99   = flag.Float64("max-replay-service-admission-p99-ms", 0, "service-class admission p99 budget (virtual ms) enforced by -check-budgets in -replay mode (0 disables; -prev supplies the recorded value)")
-		maxRpShed     = flag.Float64("max-replay-shed-pct", 15, "maximum overall gateway shed rate enforced by -check-budgets in -replay mode")
-		maxCzConvP99  = flag.Float64("max-chaos-convergence-p99-ms", 0, "convergence-after-heal p99 budget (virtual ms) enforced by -check-budgets in -chaos mode (0 disables; -prev supplies the recorded value)")
-		maxCzReissued = flag.Uint64("max-chaos-reissued", 0, "maximum grants reissued during heal windows enforced by -check-budgets in -chaos mode (0 disables; -prev supplies the recorded value)")
-		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-		memProfile    = flag.String("memprofile", "", "write an end-of-run heap profile to this file (go tool pprof -sample_index=alloc_space for hot allocators)")
+		smpShards  = fs.String("smp-shard-counts", "1,2,4,8", "comma-separated shard counts for the -smp sweep (first entry is the speedup baseline)")
+		gate       = fs.Bool("check-budgets", false, "exit non-zero when the run breaks a row of the -prev file's budgets table (CI regression gate)")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+		memProfile = fs.String("memprofile", "", "write an end-of-run heap profile to this file (go tool pprof -sample_index=alloc_space for hot allocators)")
 	)
-	flag.Parse()
-
-	// cfg is the classic workload configuration; gwCfg the gateway-mode
-	// one. They are kept separate so `-compare -gateway` runs the
-	// baseline/optimized/parallel sections on the classic workload (keeping
-	// them comparable with prior baselines) and only the gateway section on
-	// the gateway workload.
-	cfg := scale.DefaultConfig()
-	gwCfg := scale.DefaultGatewayConfig()
-	if *smoke {
-		cfg = scale.SmokeConfig()
-		gwCfg = scale.SmokeGatewayConfig()
+	scenarios := []scenario{
+		{section: "optimized", label: "run", paper: scale.DefaultConfig, smoke: scale.SmokeConfig},
+		{flag: "churn", usage: "run the steady-state churn benchmark (long-horizon release/re-demand cycling, no failovers; measured after warmup)",
+			section: "churn", label: "churn (steady state)", paper: scale.DefaultChurnConfig, smoke: scale.SmokeChurnConfig},
+		{flag: "tenx", usage: "run the 10x footprint (50k machines, 1M schedule units) churn workload with the invariant checker attached and record the tenx section",
+			section: "tenx", label: "tenx (10x footprint: 50k machines, 1M units)", paper: scale.TenXChurnConfig, smoke: scale.TenXChurnConfig},
+		{flag: "obs", usage: "run the churn workload with the observability plane (ring-buffered master time-series, live queries over transport, incremental delta checkpoints) and record the obs section",
+			section: "obs", label: "obs (observability plane)", paper: scale.DefaultObsConfig, smoke: scale.SmokeObsConfig,
+			extra: func(c *scale.Config) {
+				if *obsRetain > 0 {
+					c.ObsRetain = *obsRetain
+				}
+			}},
+		{flag: "chaos", usage: "run the churn workload under an adversarial network schedule (partition storms, link flaps, delay spikes, lock-service partition) with convergence-after-heal gates",
+			section: "chaos", label: "chaos (adversarial network)", paper: scale.DefaultChaosConfig, smoke: scale.SmokeChaosConfig,
+			extra: func(c *scale.Config) {
+				if *czPct > 0 {
+					c.ChaosPartitionPct = *czPct
+				}
+			}},
+		{flag: "dataplane", usage: "run the data-plane scenario (GraySort chains, Figure 6 DAGs and streamline service residents on the scheduled cluster, with locality and kernel verification)",
+			section: "dataplane", label: "dataplane", paper: scale.DefaultDataplaneConfig, smoke: scale.SmokeDataplaneConfig},
+		{flag: "replay", usage: "run the trace-driven replay scenario (diurnal million-tenant workload with burst sessions, heavy-tailed job shapes, failure storms and per-class SLO gates)",
+			section: "replay", label: "replay", paper: scale.DefaultReplayConfig, smoke: scale.SmokeReplayConfig,
+			extra: func(c *scale.Config) {
+				if *rpDays > 0 {
+					c.ReplayDays = *rpDays
+				}
+				if *rpDaySec > 0 {
+					c.ReplayDayLength = sim.Time(*rpDaySec) * sim.Second
+				}
+				if *rpRate > 0 {
+					c.ReplaySessionsPerSec = *rpRate
+				}
+				if *rpStorm > 0 {
+					c.ReplayStormPct = *rpStorm
+				}
+				if *gwUsers > 0 {
+					c.GatewayUsers = *gwUsers
+				}
+			}},
+		{flag: "gateway", usage: "run the multi-tenant submission-gateway scenario (1M-user load generator, admission control, master failover, admission-conservation checks)",
+			section: "gateway", label: "gateway", paper: scale.DefaultGatewayConfig, smoke: scale.SmokeGatewayConfig,
+			extra: func(c *scale.Config) {
+				if *gwUsers > 0 {
+					c.GatewayUsers = *gwUsers
+				}
+				if *gwSubs > 0 {
+					c.GatewaySubmissions = *gwSubs
+				}
+				*c = c.WithMasterFailovers(*gwFailovers)
+			}},
+		{flag: "master-failover", usage: "crash the active FuxiMaster mid-run (hot-standby promotion) and attach the cluster-wide invariant checker",
+			section: "failover", label: "master-failover", paper: scale.DefaultConfig, smoke: scale.SmokeConfig,
+			extra: func(c *scale.Config) { *c = c.WithMasterFailovers(*mfCount) }},
 	}
-	override := func(c *scale.Config) {
+	for i := range scenarios {
+		if s := &scenarios[i]; s.flag != "" {
+			s.on = fs.Bool(s.flag, false, s.usage)
+		}
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	// overrides applies the shared flag overrides to a configuration.
+	overrides := func(c *scale.Config) {
 		if *racks > 0 {
 			c.Racks = *racks
 		}
@@ -192,127 +224,59 @@ func run() int {
 		if *roundMS > 0 {
 			c.RoundWindow = sim.Time(*roundMS) * sim.Millisecond
 		}
-	}
-	override(&cfg)
-	override(&gwCfg)
-	if *apps > 0 {
-		cfg.Apps = *apps
-	}
-	if *units > 0 {
-		cfg.UnitsPerApp = *units
-	}
-	cfg.LegacyScan = *legacy
-	if *gwUsers > 0 {
-		gwCfg.GatewayUsers = *gwUsers
-	}
-	if *gwSubs > 0 {
-		gwCfg.GatewaySubmissions = *gwSubs
-	}
-	if *shards != 0 {
-		gwCfg.Shards = *shards
-		if gwCfg.Shards > 1 && gwCfg.RoundWindow == 0 {
-			gwCfg.RoundWindow = scale.DefaultRoundWindow
+		// Gateway-fed workloads (Apps == 0) size their jobs per submission.
+		if c.Apps > 0 && *apps > 0 {
+			c.Apps = *apps
+		}
+		if c.Apps > 0 && *units > 0 {
+			c.UnitsPerApp = *units
+		}
+		if *legacy {
+			c.LegacyScan = true
+		}
+		if *shards != 0 {
+			c.Shards = *shards
+			if c.Shards > 1 && c.RoundWindow == 0 {
+				c.RoundWindow = scale.DefaultRoundWindow
+			}
 		}
 	}
-	gwCfg = gwCfg.WithMasterFailovers(*gwFailovers)
-
-	dpCfg := scale.DefaultDataplaneConfig()
-	if *smoke {
-		dpCfg = scale.SmokeDataplaneConfig()
+	// configure builds a scenario's configuration: its paper-scale or smoke
+	// constructor, the shared overrides, then its own.
+	configure := func(s *scenario) scale.Config {
+		c := s.paper()
+		if *smoke {
+			c = s.smoke()
+		}
+		overrides(&c)
+		if s.extra != nil {
+			s.extra(&c)
+		}
+		return c
 	}
-	override(&dpCfg)
-	if *shards != 0 {
-		dpCfg.Shards = *shards
-		if dpCfg.Shards > 1 && dpCfg.RoundWindow == 0 {
-			dpCfg.RoundWindow = scale.DefaultRoundWindow
+	find := func(flag string) *scenario {
+		for i := range scenarios {
+			if scenarios[i].flag == flag {
+				return &scenarios[i]
+			}
+		}
+		panic("scalesim: no scenario " + flag)
+	}
+
+	sc := &scenarios[0]
+	var set []string
+	for i := range scenarios[1:] {
+		if s := &scenarios[i+1]; *s.on {
+			set = append(set, s.flag)
+			if !*compare {
+				sc = s
+			}
 		}
 	}
-
-	rpCfg := scale.DefaultReplayConfig()
-	if *smoke {
-		rpCfg = scale.SmokeReplayConfig()
-	}
-	override(&rpCfg)
-	if *rpDays > 0 {
-		rpCfg.ReplayDays = *rpDays
-	}
-	if *rpDaySec > 0 {
-		rpCfg.ReplayDayLength = sim.Time(*rpDaySec) * sim.Second
-	}
-	if *rpRate > 0 {
-		rpCfg.ReplaySessionsPerSec = *rpRate
-	}
-	if *rpStorm > 0 {
-		rpCfg.ReplayStormPct = *rpStorm
-	}
-	if *gwUsers > 0 {
-		rpCfg.GatewayUsers = *gwUsers
-	}
-	if *shards != 0 {
-		rpCfg.Shards = *shards
-		if rpCfg.Shards > 1 && rpCfg.RoundWindow == 0 {
-			rpCfg.RoundWindow = scale.DefaultRoundWindow
-		}
-	}
-
-	chCfg := scale.DefaultChurnConfig()
-	if *smoke {
-		chCfg = scale.SmokeChurnConfig()
-	}
-	override(&chCfg)
-	if *horizonS == 0 {
-		chCfg.Horizon = chCfg.ChurnWarmup + chCfg.ChurnMeasure
-	}
-	if *apps > 0 {
-		chCfg.Apps = *apps
-	}
-	if *units > 0 {
-		chCfg.UnitsPerApp = *units
-	}
-	if *shards != 0 {
-		chCfg.Shards = *shards
-	}
-
-	czCfg := scale.DefaultChaosConfig()
-	if *smoke {
-		czCfg = scale.SmokeChaosConfig()
-	}
-	override(&czCfg)
-	if *horizonS == 0 {
-		czCfg.Horizon = czCfg.ChurnWarmup + czCfg.ChurnMeasure
-	}
-	if *apps > 0 {
-		czCfg.Apps = *apps
-	}
-	if *units > 0 {
-		czCfg.UnitsPerApp = *units
-	}
-	if *shards != 0 {
-		czCfg.Shards = *shards
-	}
-	if *czPct > 0 {
-		czCfg.ChaosPartitionPct = *czPct
-	}
-
-	obCfg := scale.DefaultObsConfig()
-	if *smoke {
-		obCfg = scale.SmokeObsConfig()
-	}
-	override(&obCfg)
-	if *horizonS == 0 {
-		obCfg.Horizon = obCfg.ChurnWarmup + obCfg.ChurnMeasure
-	}
-	if *apps > 0 {
-		obCfg.Apps = *apps
-	}
-	if *units > 0 {
-		obCfg.UnitsPerApp = *units
-	}
-	if *shards != 0 {
-		obCfg.Shards = *shards
-	}
-	if *obsRetain > 0 {
-		obCfg.ObsRetain = *obsRetain
+	if err := exclusiveModes(set, *compare, *smpMode); err != nil {
+		fmt.Fprintln(os.Stderr, "scalesim:", err)
+		fs.Usage()
+		return 2
 	}
 
 	shardCounts, err := parseShardCounts(*shardList)
@@ -346,26 +310,14 @@ func run() int {
 		}
 	}
 
-	budgets := scale.Budgets{
-		MaxAllocsPerDecision:           *maxAllocs,
-		MaxMessagesPerGrant:            *maxMsgPerG,
-		MaxAllocsPerAdmission:          *maxAllocsAdm,
-		MaxMessagesPerAdmission:        *maxMsgAdm,
-		MaxAllocsPerDecisionChurn:      *maxAllocsChur,
-		MaxAllocsPerDecisionFailover:   *maxAllocsFo,
-		MinDataplaneLocalityPct:        *minDpLocality,
-		MaxDataplaneMakespanP99MS:      *maxDpMakespan,
-		MinDataplaneServiceSLOPct:      *minDpSLO,
-		MinReplayServiceSLOPct:         *minRpSLO,
-		MaxReplayServiceAdmissionP99MS: *maxRpAdmP99,
-		MaxReplayShedPct:               *maxRpShed,
-		MaxChaosConvergenceP99MS:       *maxCzConvP99,
-		MaxChaosReissued:               *maxCzReissued,
-		MaxObsAllocsPerSample:          *maxObsAllocs,
-		MaxCheckpointBytesPerJob:       *maxCkptBpj,
-		MinSMPCoreSpeedupP4:            *minSMPSpeedup,
+	prevSections := loadPrev(*prev)
+	var rows []budgetRow
+	if *gate {
+		if rows, err = parseBudgets(prevSections["budgets"]); err != nil {
+			fmt.Fprintf(os.Stderr, "scalesim: -check-budgets: %v\n", err)
+			return 2
+		}
 	}
-	prevSections, prevDiffBase := loadPrev(*prev, &budgets)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -397,17 +349,32 @@ func run() int {
 		}()
 	}
 
-	var payload any
-	mergeKey := "run"
-	broken := false
-	gateViolations := func(label string, r *scale.Result) {
-		if !*gate {
-			return
+	var (
+		payload  any
+		section  = sc.section
+		produced = map[string]any{} // what the budget rows are evaluated on
+		bad      []string           // contract and budget violations
+	)
+	// runOne runs one scenario section and applies its contract.
+	runOne := func(s *scenario, c scale.Config) *scale.Result {
+		res, err := scale.Run(c)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "scalesim:", err)
+			return nil
 		}
-		if bad := r.CheckBudgets(budgets); len(bad) > 0 {
-			broken = true
-			fmt.Fprintf(os.Stderr, "scalesim: %s: BUDGET EXCEEDED: %v\n", label, bad)
+		if s.section == "churn" {
+			res.VsRoundsSpeedup = roundsSpeedup(res, prevSections)
 		}
+		if !*compare {
+			res.Prev = diffPrev(*prev, prevSections, []string{s.section})
+		}
+		printResult(s.label, res)
+		if res.VsRoundsSpeedup > 0 {
+			fmt.Printf("speedup: %.2fx steady-state decisions/s vs the recorded rounds path\n", res.VsRoundsSpeedup)
+		}
+		produced[s.section] = res
+		bad = append(bad, contract(s.section, res)...)
+		return res
 	}
 	switch {
 	case *smpMode:
@@ -420,131 +387,42 @@ func run() int {
 		if *smoke {
 			opts = scale.SmokeSMPOptions()
 		}
-		override(&opts.Rounds)
-		override(&opts.Churn)
-		if *horizonS == 0 {
-			opts.Churn.Horizon = opts.Churn.ChurnWarmup + opts.Churn.ChurnMeasure
-		}
-		if *apps > 0 {
-			opts.Rounds.Apps, opts.Churn.Apps = *apps, *apps
-		}
-		if *units > 0 {
-			opts.Rounds.UnitsPerApp, opts.Churn.UnitsPerApp = *units, *units
-		}
+		overrides(&opts.Rounds)
+		overrides(&opts.Churn)
 		opts.ShardCounts = smpCounts
 		res, err := scale.RunSMP(opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "scalesim:", err)
 			return 1
 		}
-		payload = res
-		mergeKey = "smp"
+		res.Budgets = prevSections["budgets"]
+		payload, section = res, "smp"
 		printSMP(res)
-		// Decision-stream divergence across shard counts is a correctness
-		// failure regardless of budgets; the speedup budget only applies on
-		// hosts that can actually exhibit one.
-		if !res.ParityOK() {
-			broken = true
-			fmt.Fprintln(os.Stderr, "scalesim: smp: DECISION STREAMS DIVERGED across shard counts")
+		bad = append(bad, contract("smp", res)...)
+		// The speedup gate only applies on hosts that can exhibit one.
+		switch {
+		case !*gate:
+		case !res.MultiCore:
+			fmt.Printf("smp: speedup gate SKIPPED: %s\n", res.Note)
+		case res.CoreSpeedupP4 == 0:
+			fmt.Println("smp: speedup gate SKIPPED: shards=4 not in the sweep")
+		default:
+			produced["smp"] = res
 		}
-		for i := range res.Core {
-			if res.Core[i].Invariants > 0 {
-				broken = true
-				fmt.Fprintf(os.Stderr, "scalesim: smp: core shards=%d: %d invariant violations\n",
-					res.Core[i].Shards, res.Core[i].Invariants)
-			}
-		}
-		for i := range res.Rounds {
-			broken = broken || len(res.Rounds[i].Invariants) > 0 || len(res.Churn[i].Invariants) > 0
-		}
-		if *gate && budgets.MinSMPCoreSpeedupP4 > 0 {
-			switch {
-			case !res.MultiCore:
-				fmt.Printf("smp: speedup gate SKIPPED: %s\n", res.Note)
-			case res.CoreSpeedupP4 == 0:
-				fmt.Println("smp: speedup gate SKIPPED: shards=4 not in the sweep")
-			case res.CoreSpeedupP4 < budgets.MinSMPCoreSpeedupP4:
-				broken = true
-				fmt.Fprintf(os.Stderr, "scalesim: smp: BUDGET EXCEEDED: core speedup at shards=4 %.2fx below budget %.2fx\n",
-					res.CoreSpeedupP4, budgets.MinSMPCoreSpeedupP4)
-			}
-		}
-	case *tenx:
-		txCfg := scale.TenXChurnConfig()
-		txCfg.Seed = *seed
-		if *shards != 0 {
-			txCfg.Shards = *shards
-		}
-		res, err := scale.Run(txCfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalesim:", err)
-			return 1
-		}
-		res.Prev = diffPrev(prevDiffBase, prevSections, []string{"tenx"})
-		payload = res
-		mergeKey = "tenx"
-		printResult("tenx (10x footprint: 50k machines, 1M units)", res)
-		gateViolations("tenx", res)
-		broken = broken || len(res.Invariants) > 0
-	case *obsM:
-		res, err := scale.Run(obCfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalesim:", err)
-			return 1
-		}
-		res.Prev = diffPrev(prevDiffBase, prevSections, []string{"obs"})
-		payload = res
-		mergeKey = "obs"
-		printResult("obs (observability plane)", res)
-		gateViolations("obs", res)
-		// The scenario's contract: samples were recorded and the ring
-		// wrapped, live queries were answered mid-run, flap loss showed up
-		// on the watched links, the delta log beat snapshot-per-write by
-		// the acceptance margin, and the checker stays silent.
-		broken = broken || obsBroken(res)
-	case *chaos:
-		res, err := scale.Run(czCfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalesim:", err)
-			return 1
-		}
-		res.Prev = diffPrev(prevDiffBase, prevSections, []string{"chaos"})
-		payload = res
-		mergeKey = "chaos"
-		printResult("chaos (adversarial network)", res)
-		gateViolations("chaos", res)
-		// The scenario's contract: every scheduled storm landed and healed,
-		// every heal window reconverged, and the checker stays silent.
-		broken = broken || chaosBroken(res)
-	case *churn:
-		res, err := scale.Run(chCfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalesim:", err)
-			return 1
-		}
-		res.VsRoundsSpeedup = roundsSpeedup(res, prevSections)
-		res.Prev = diffPrev(prevDiffBase, prevSections, []string{"churn"})
-		payload = res
-		mergeKey = "churn"
-		printResult("churn (steady state)", res)
-		if res.VsRoundsSpeedup > 0 {
-			fmt.Printf("speedup: %.2fx steady-state decisions/s vs the recorded rounds path\n", res.VsRoundsSpeedup)
-		}
-		gateViolations("churn", res)
-		broken = broken || len(res.Invariants) > 0
 	case *compare:
+		cfg := configure(&scenarios[0])
 		cmp, err := scale.RunCompare(cfg, *budget, shardCounts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "scalesim:", err)
 			return 1
 		}
-		cmp.Budgets = &budgets
+		cmp.Budgets = prevSections["budgets"]
 		printResult("baseline (legacy scan)", &cmp.Baseline)
 		printResult("optimized (serial)", &cmp.Optimized)
 		for i := range cmp.Parallel {
 			p := &cmp.Parallel[i]
 			printResult(fmt.Sprintf("parallel (shards=%d, rounds)", p.Config.Shards), p)
-			gateViolations(fmt.Sprintf("parallel-%d", p.Config.Shards), p)
+			bad = append(bad, contract(fmt.Sprintf("parallel-%d", p.Config.Shards), p)...)
 		}
 		fmt.Printf("speedup: %.2fx scheduling-decision throughput (serial optimized vs legacy)\n", cmp.Speedup)
 		if cmp.SpeedupParallel > 0 {
@@ -567,150 +445,333 @@ func run() int {
 					" batching delay (a throughput/latency trade), not a scheduling regression.")
 			}
 		}
-		broken = broken || len(cmp.Baseline.Invariants) > 0 || len(cmp.Optimized.Invariants) > 0
-		for i := range cmp.Parallel {
-			broken = broken || len(cmp.Parallel[i].Invariants) > 0
-		}
-		produced := []string{"baseline", "optimized", "parallel"}
-		if *mfailover {
-			fcfg := cfg.WithMasterFailovers(*mfCount)
-			// The failover scenario exercises the full PR 3 configuration:
-			// sharded rounds on top of hot-standby promotion.
+		produced["baseline"], produced["optimized"], produced["parallel"] = &cmp.Baseline, &cmp.Optimized, cmp.Parallel
+		bad = append(bad, contract("baseline", &cmp.Baseline)...)
+		bad = append(bad, contract("optimized", &cmp.Optimized)...)
+		sections := []string{"baseline", "optimized", "parallel"}
+		if s := find("master-failover"); *s.on {
+			fcfg := configure(s)
+			// The failover section exercises sharded rounds on top of
+			// hot-standby promotion.
 			fcfg.Shards = shardCounts[len(shardCounts)-1]
 			if fcfg.RoundWindow == 0 {
 				fcfg.RoundWindow = scale.DefaultRoundWindow
 			}
-			fo, err := scale.Run(fcfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "scalesim:", err)
+			if cmp.Failover = runOne(s, fcfg); cmp.Failover == nil {
 				return 1
 			}
-			cmp.Failover = fo
-			printResult("master-failover", fo)
-			gateViolations("failover", fo)
-			broken = broken || len(fo.Invariants) > 0 || fo.CompletedApps != fo.Config.Apps
-			produced = append(produced, "failover")
+			sections = append(sections, s.section)
 		}
-		if *gw {
-			gres, err := scale.Run(gwCfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "scalesim:", err)
+		if s := find("gateway"); *s.on {
+			if cmp.GatewayRun = runOne(s, configure(s)); cmp.GatewayRun == nil {
 				return 1
 			}
-			cmp.GatewayRun = gres
-			printResult("gateway", gres)
-			gateViolations("gateway", gres)
-			broken = broken || gatewayBroken(gres)
-			produced = append(produced, "gateway")
+			sections = append(sections, s.section)
 		}
-		cmp.Prev = diffPrev(prevDiffBase, prevSections, produced)
+		cmp.Prev = diffPrev(*prev, prevSections, sections)
 		payload = cmp
-	case *dataplane:
-		res, err := scale.Run(dpCfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalesim:", err)
-			return 1
-		}
-		res.Prev = diffPrev(prevDiffBase, prevSections, []string{"dataplane"})
-		payload = res
-		mergeKey = "dataplane"
-		printResult("dataplane", res)
-		gateViolations("dataplane", res)
-		// The scenario's contract: every job completes, every sampled kernel
-		// check passes, and the checker stays silent.
-		broken = broken || dataplaneBroken(res)
-	case *replay:
-		res, err := scale.Run(rpCfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalesim:", err)
-			return 1
-		}
-		res.Prev = diffPrev(prevDiffBase, prevSections, []string{"replay"})
-		payload = res
-		mergeKey = "replay"
-		printResult("replay", res)
-		gateViolations("replay", res)
-		// The scenario's contract: the trace drains (every submission
-		// completed or deterministically shed) through the storms and the
-		// failover, and the checker stays silent.
-		broken = broken || replayBroken(res)
-	case *gw:
-		res, err := scale.Run(gwCfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalesim:", err)
-			return 1
-		}
-		res.Prev = diffPrev(prevDiffBase, prevSections, []string{"gateway"})
-		payload = res
-		mergeKey = "gateway"
-		printResult("gateway", res)
-		gateViolations("gateway", res)
-		// The scenario's contract: every submission settles (completed or
-		// deterministically shed) despite the master crashes, and the
-		// checker — admission conservation included — stays silent.
-		broken = broken || gatewayBroken(res)
-	case *mfailover:
-		fcfg := cfg.WithMasterFailovers(*mfCount)
-		if *shards != 0 {
-			fcfg.Shards = *shards
-			if fcfg.RoundWindow == 0 {
-				fcfg.RoundWindow = scale.DefaultRoundWindow
-			}
-		}
-		res, err := scale.Run(fcfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalesim:", err)
-			return 1
-		}
-		res.Prev = diffPrev(prevDiffBase, prevSections, []string{"failover"})
-		payload = res
-		mergeKey = "failover"
-		printResult("master-failover", res)
-		gateViolations("master-failover", res)
-		// The scenario's contract: every app completes despite the crashes
-		// and the checker stays silent.
-		broken = broken || len(res.Invariants) > 0 || res.CompletedApps != res.Config.Apps
 	default:
-		if *shards != 0 {
-			cfg.Shards = *shards
-			if cfg.Shards > 1 && cfg.RoundWindow == 0 {
-				cfg.RoundWindow = scale.DefaultRoundWindow
-			}
-		}
-		res, err := scale.Run(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalesim:", err)
+		res := runOne(sc, configure(sc))
+		if res == nil {
 			return 1
 		}
-		res.Prev = diffPrev(prevDiffBase, prevSections, []string{"optimized"})
 		payload = res
-		printResult("run", res)
-		gateViolations("run", res)
-		broken = broken || len(res.Invariants) > 0
 	}
 
+	if *gate {
+		bad = append(bad, checkBudgets(rows, produced, *smoke)...)
+	}
+	for _, v := range bad {
+		fmt.Fprintln(os.Stderr, "scalesim: FAILED:", v)
+	}
 	if *out != "-" {
-		// Refresh the recorded budgets on merge only when -check-budgets is
-		// in force: an unrelated merge must not quietly overwrite the
-		// tightened thresholds a compare run recorded (CI's -prev gate
-		// reads exactly that section).
-		var recordBudgets *scale.Budgets
-		if *gate {
-			recordBudgets = &budgets
-		}
-		if err := writeOut(*out, payload, mergeKey, *merge, *compare, recordBudgets); err != nil {
+		if err := writeOut(*out, payload, section, *merge, *compare); err != nil {
 			fmt.Fprintln(os.Stderr, "scalesim:", err)
 			return 1
 		}
 		fmt.Println("wrote", *out)
 	}
-	if broken {
-		// Scheduler invariant violations and budget breaches are
-		// correctness/perf failures, not measurements: make CI smoke runs
-		// fail loudly.
+	if len(bad) > 0 {
+		// Contract and budget failures are correctness/perf failures, not
+		// measurements: make CI smoke runs fail loudly.
 		return 1
 	}
 	return 0
+}
+
+// exclusiveModes rejects more than one mode flag among the set scenario
+// flags, -compare and -smp (they used to resolve silently by switch order:
+// -chaos -churn ran chaos only). -compare takes -gateway and
+// -master-failover as add-on sections.
+func exclusiveModes(set []string, compare, smp bool) error {
+	var modes []string
+	for _, f := range set {
+		if !compare || (f != "gateway" && f != "master-failover") {
+			modes = append(modes, "-"+f)
+		}
+	}
+	if compare {
+		modes = append(modes, "-compare")
+	}
+	if smp {
+		modes = append(modes, "-smp")
+	}
+	if len(modes) > 1 {
+		return fmt.Errorf("%s are exclusive: give one mode (-compare takes -gateway and -master-failover as add-ons)",
+			strings.Join(modes, ", "))
+	}
+	return nil
+}
+
+// budgetRow is one row of the `budgets` table: a bound on one metric of one
+// section's result. Metric is a dotted JSON path inside the section;
+// exactly one of Min and Max is set, and Smoke, when set, replaces it under
+// -smoke.
+type budgetRow struct {
+	Section string   `json:"section"`
+	Metric  string   `json:"metric"`
+	Min     *float64 `json:"min,omitempty"`
+	Max     *float64 `json:"max,omitempty"`
+	Smoke   *float64 `json:"smoke,omitempty"`
+}
+
+// parseBudgets decodes the -prev file's budgets table. A missing table or
+// the old one-field-per-budget object is an error: gating on an empty
+// table would pass everything.
+func parseBudgets(raw json.RawMessage) ([]budgetRow, error) {
+	if raw == nil {
+		return nil, errors.New("no budgets table (pass -prev BENCH_scale.json)")
+	}
+	var rows []budgetRow
+	if err := json.Unmarshal(raw, &rows); err != nil {
+		return nil, fmt.Errorf("budgets is not a table of {section, metric, min|max, smoke} rows: %w", err)
+	}
+	for _, b := range rows {
+		if b.Section == "" || b.Metric == "" || (b.Min == nil) == (b.Max == nil) {
+			return nil, fmt.Errorf("budget row %+v: need section, metric and exactly one of min and max", b)
+		}
+	}
+	return rows, nil
+}
+
+// checkBudgets evaluates every row whose section this run produced against
+// that section's result JSON (each element, when it is an array) and
+// returns one message per failure. A metric that does not resolve to a
+// number fails, so a misspelled row cannot switch its gate off.
+func checkBudgets(rows []budgetRow, produced map[string]any, smoke bool) []string {
+	data, err := json.Marshal(produced)
+	if err != nil {
+		return []string{"budgets: " + err.Error()}
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return []string{"budgets: " + err.Error()}
+	}
+	var bad []string
+	for _, b := range rows {
+		sec, ok := doc[b.Section]
+		if !ok {
+			continue
+		}
+		elems, names := []any{sec}, []string{b.Section}
+		if arr, ok := sec.([]any); ok {
+			elems, names = arr, nil
+			for i := range arr {
+				names = append(names, fmt.Sprintf("%s[%d]", b.Section, i))
+			}
+		}
+		kind, bound := "max", b.Max
+		if b.Min != nil {
+			kind, bound = "min", b.Min
+		}
+		if smoke && b.Smoke != nil {
+			kind, bound = "smoke "+kind, b.Smoke
+		}
+		for i, e := range elems {
+			v, ok := lookup(e, b.Metric)
+			switch {
+			case !ok:
+				bad = append(bad, fmt.Sprintf("budget row {%s %s}: metric does not resolve to a number in the result", b.Section, b.Metric))
+			case b.Max != nil && v > *bound:
+				bad = append(bad, fmt.Sprintf("budget %s %s = %g exceeds %s %g", names[i], b.Metric, v, kind, *bound))
+			case b.Min != nil && v < *bound:
+				bad = append(bad, fmt.Sprintf("budget %s %s = %g below %s %g", names[i], b.Metric, v, kind, *bound))
+			}
+		}
+	}
+	return bad
+}
+
+// lookup resolves a dotted path inside decoded JSON to a number.
+func lookup(doc any, path string) (float64, bool) {
+	for _, key := range strings.Split(path, ".") {
+		m, ok := doc.(map[string]any)
+		if !ok {
+			return 0, false
+		}
+		doc = m[key]
+	}
+	v, ok := doc.(float64)
+	return v, ok
+}
+
+// contract returns the named correctness violations of one produced
+// section: invariant-checker findings everywhere, plus each scenario's
+// completion and accounting clauses. Unlike budgets these are not
+// calibrated; they hold at every scale.
+func contract(section string, payload any) []string {
+	var bad []string
+	fail := func(broken bool, check string, args ...any) {
+		if broken {
+			bad = append(bad, section+": "+fmt.Sprintf(check, args...))
+		}
+	}
+	if r, ok := payload.(*scale.SMPResult); ok {
+		fail(!r.CoreParityOK, "core decision streams diverged across shard counts")
+		fail(!r.RoundsParityOK, "rounds decision streams diverged across shard counts")
+		fail(!r.ChurnParityOK, "churn decision streams diverged across shard counts")
+		for i := range r.Core {
+			fail(r.Core[i].Invariants > 0, "core shards=%d invariant violations (%d)", r.Core[i].Shards, r.Core[i].Invariants)
+		}
+		for i := range r.Rounds {
+			fail(len(r.Rounds[i].Invariants) > 0, "rounds shards=%d invariant violations %v", r.ShardCounts[i], r.Rounds[i].Invariants)
+			fail(len(r.Churn[i].Invariants) > 0, "churn shards=%d invariant violations %v", r.ShardCounts[i], r.Churn[i].Invariants)
+		}
+		return bad
+	}
+	r := payload.(*scale.Result)
+	fail(len(r.Invariants) > 0, "invariant violations %v", r.Invariants)
+	switch section {
+	case "failover":
+		fail(r.CompletedApps != r.Config.Apps, "completed apps != apps (%d != %d)", r.CompletedApps, r.Config.Apps)
+	case "gateway", "replay":
+		fail(r.Truncated, "truncated before the workload drained")
+		g := r.Gateway
+		if g == nil {
+			return append(bad, section+": gateway stats missing")
+		}
+		fail(g.Completed+g.Shed != g.Submitted, "completed+shed != submitted (%d+%d != %d)", g.Completed, g.Shed, g.Submitted)
+		if section == "gateway" {
+			break
+		}
+		rp := r.Replay
+		if rp == nil {
+			return append(bad, section+": replay stats missing")
+		}
+		fail(rp.Submissions == 0, "no submissions")
+		fail(rp.Injections == rp.InjectionsSkipped, "no storm injection landed (%d of %d skipped)", rp.InjectionsSkipped, rp.Injections)
+	case "dataplane":
+		fail(r.Truncated, "truncated before the workload drained")
+		d := r.Dataplane
+		if d == nil {
+			return append(bad, section+": dataplane stats missing")
+		}
+		total := r.Config.GraySortJobs + r.Config.DAGJobs + r.Config.ServiceJobs
+		fail(d.CompletedJobs != total, "completed jobs != jobs (%d != %d)", d.CompletedJobs, total)
+		fail(d.VerifyFailures > 0, "kernel verification failures (%d)", d.VerifyFailures)
+		fail(d.ServiceOpFailures > 0, "service op failures (%d)", d.ServiceOpFailures)
+	case "chaos":
+		cz := r.Chaos
+		if cz == nil {
+			return append(bad, section+": chaos stats missing")
+		}
+		fail(cz.Partitions == 0, "no partition storms")
+		fail(cz.Heals != cz.Partitions, "heals != partitions (%d != %d)", cz.Heals, cz.Partitions)
+		fail(cz.Unconverged > 0, "unconverged heal windows (%d)", cz.Unconverged)
+		fail(cz.InjectionsSkipped > 0, "injections skipped (%d)", cz.InjectionsSkipped)
+	case "obs":
+		o := r.Obs
+		if o == nil {
+			return append(bad, section+": obs stats missing")
+		}
+		fail(o.SamplesTotal == 0, "no samples recorded")
+		fail(o.Queries == 0, "no queries issued")
+		fail(o.Responses == 0, "no query responses")
+		fail(o.QueryResults == 0, "no query results")
+		fail(o.FlapWindows > 0 && o.LinkDropsObserved == 0, "flap loss not attributed (%d flap windows, 0 drops observed)", o.FlapWindows)
+		fail(o.CheckpointSavingsX < 5, "checkpoint savings < 5x (%.1fx)", o.CheckpointSavingsX)
+	}
+	return bad
+}
+
+// writeOut writes the payload, either overwriting the file or — with
+// doMerge — folding the run's section into an existing JSON document under
+// section so e.g. a -gateway run extends BENCH_scale.json without
+// discarding the compare sections. Every other section, the budgets table
+// included, is written back unchanged.
+func writeOut(path string, payload any, section string, doMerge, isCompare bool) error {
+	var doc any = payload
+	if doMerge {
+		if isCompare {
+			return fmt.Errorf("-merge applies to single-run modes; -compare already writes all sections")
+		}
+		sections := map[string]json.RawMessage{}
+		if data, err := os.ReadFile(path); err == nil {
+			if err := json.Unmarshal(data, &sections); err != nil {
+				return fmt.Errorf("-merge: %s is not a JSON object: %w", path, err)
+			}
+		}
+		raw, err := json.Marshal(payload)
+		if err != nil {
+			return err
+		}
+		sections[section] = raw
+		doc = sections
+	}
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// loadPrev reads the -prev file's sections; nil when -prev is unset or
+// unreadable (a run without a baseline, which -check-budgets rejects).
+func loadPrev(path string) map[string]json.RawMessage {
+	if path == "" {
+		return nil
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "scalesim: -prev: %v (continuing without a baseline)\n", err)
+		return nil
+	}
+	sections := map[string]json.RawMessage{}
+	if err := json.Unmarshal(data, &sections); err != nil {
+		fmt.Fprintf(os.Stderr, "scalesim: -prev: %s is not a JSON object: %v (continuing)\n", path, err)
+		return nil
+	}
+	return sections
+}
+
+// diffPrev fills the prev-diff tag: sections this invocation produced that
+// the old baseline also has are compared (throughput summary to stdout);
+// sections the baseline predates are tagged skipped. Nil without a
+// baseline.
+func diffPrev(path string, sections map[string]json.RawMessage, produced []string) *scale.PrevDiff {
+	if sections == nil {
+		return nil
+	}
+	d := scale.PrevDiff{Path: path}
+	for _, name := range produced {
+		raw, ok := sections[name]
+		if !ok {
+			d.SkippedSections = append(d.SkippedSections, name)
+			continue
+		}
+		d.Compared = append(d.Compared, name)
+		var old scale.Result
+		if err := json.Unmarshal(raw, &old); err == nil && old.DecisionsPerSec > 0 {
+			fmt.Printf("vs %s [%s]: %.0f decisions/s then\n", d.Path, name, old.DecisionsPerSec)
+		}
+	}
+	if len(d.SkippedSections) > 0 {
+		fmt.Printf("baseline %s predates sections %v: skipped, not compared\n",
+			d.Path, d.SkippedSections)
+	}
+	sort.Strings(d.Compared)
+	sort.Strings(d.SkippedSections)
+	return &d
 }
 
 // roundsSpeedup computes the churn section's decisions/s over the best
@@ -744,202 +805,6 @@ func roundsSpeedup(churn *scale.Result, sections map[string]json.RawMessage) flo
 		return 0
 	}
 	return churn.DecisionsPerSec / best
-}
-
-// gatewayBroken applies the gateway scenario's pass/fail contract.
-func gatewayBroken(r *scale.Result) bool {
-	if len(r.Invariants) > 0 || r.Truncated || r.Gateway == nil {
-		return true
-	}
-	g := r.Gateway
-	return g.Completed+g.Shed != g.Submitted
-}
-
-// replayBroken applies the replay scenario's pass/fail contract.
-func replayBroken(r *scale.Result) bool {
-	if len(r.Invariants) > 0 || r.Truncated || r.Replay == nil || r.Gateway == nil {
-		return true
-	}
-	g := r.Gateway
-	rp := r.Replay
-	return g.Completed+g.Shed != g.Submitted || rp.Submissions == 0 ||
-		rp.Injections-rp.InjectionsSkipped == 0
-}
-
-// obsBroken applies the observability scenario's pass/fail contract.
-func obsBroken(r *scale.Result) bool {
-	if len(r.Invariants) > 0 || r.Obs == nil {
-		return true
-	}
-	o := r.Obs
-	return o.SamplesTotal == 0 || o.Queries == 0 || o.Responses == 0 ||
-		o.QueryResults == 0 ||
-		(o.FlapWindows > 0 && o.LinkDropsObserved == 0) ||
-		o.CheckpointSavingsX < 5
-}
-
-// chaosBroken applies the chaos scenario's pass/fail contract.
-func chaosBroken(r *scale.Result) bool {
-	if len(r.Invariants) > 0 || r.Chaos == nil {
-		return true
-	}
-	cz := r.Chaos
-	return cz.Partitions == 0 || cz.Heals != cz.Partitions ||
-		cz.Unconverged > 0 || cz.InjectionsSkipped > 0
-}
-
-// dataplaneBroken applies the data-plane scenario's pass/fail contract.
-func dataplaneBroken(r *scale.Result) bool {
-	if len(r.Invariants) > 0 || r.Truncated || r.Dataplane == nil {
-		return true
-	}
-	d := r.Dataplane
-	total := r.Config.GraySortJobs + r.Config.DAGJobs + r.Config.ServiceJobs
-	return d.CompletedJobs != total || d.VerifyFailures > 0 || d.ServiceOpFailures > 0
-}
-
-// writeOut writes the payload, either overwriting the file or — with
-// doMerge — folding the run's section into an existing JSON document under
-// mergeKey so e.g. a -gateway run extends BENCH_scale.json without
-// discarding the compare sections. Merging also refreshes the `budgets`
-// section, which is where CI's -prev gate reads its thresholds from.
-func writeOut(path string, payload any, mergeKey string, doMerge, isCompare bool, budgets *scale.Budgets) error {
-	var doc any = payload
-	if doMerge {
-		if isCompare {
-			return fmt.Errorf("-merge applies to single-run modes; -compare already writes all sections")
-		}
-		sections := map[string]json.RawMessage{}
-		if data, err := os.ReadFile(path); err == nil {
-			if err := json.Unmarshal(data, &sections); err != nil {
-				return fmt.Errorf("-merge: %s is not a JSON object: %w", path, err)
-			}
-		}
-		raw, err := json.Marshal(payload)
-		if err != nil {
-			return err
-		}
-		sections[mergeKey] = raw
-		if budgets != nil {
-			if raw, err := json.Marshal(budgets); err == nil {
-				sections["budgets"] = raw
-			}
-		}
-		doc = sections
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// loadPrev reads a previous BENCH_scale.json. Budgets recorded there
-// override the flag defaults (explicitly-set flags win); a missing or
-// partial budgets section is fine. Returns the section map and the diff
-// skeleton (nil when -prev is unset).
-func loadPrev(path string, budgets *scale.Budgets) (map[string]json.RawMessage, *scale.PrevDiff) {
-	if path == "" {
-		return nil, nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "scalesim: -prev: %v (continuing without a baseline)\n", err)
-		return nil, nil
-	}
-	sections := map[string]json.RawMessage{}
-	if err := json.Unmarshal(data, &sections); err != nil {
-		fmt.Fprintf(os.Stderr, "scalesim: -prev: %s is not a JSON object: %v (continuing)\n", path, err)
-		return nil, nil
-	}
-	if raw, ok := sections["budgets"]; ok {
-		explicit := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		var pb scale.Budgets
-		if err := json.Unmarshal(raw, &pb); err == nil {
-			if pb.MaxAllocsPerDecision > 0 && !explicit["max-allocs-per-decision"] {
-				budgets.MaxAllocsPerDecision = pb.MaxAllocsPerDecision
-			}
-			if pb.MaxMessagesPerGrant > 0 && !explicit["max-messages-per-grant"] {
-				budgets.MaxMessagesPerGrant = pb.MaxMessagesPerGrant
-			}
-			if pb.MaxAllocsPerAdmission > 0 && !explicit["max-allocs-per-admission"] {
-				budgets.MaxAllocsPerAdmission = pb.MaxAllocsPerAdmission
-			}
-			if pb.MaxAllocsPerDecisionChurn > 0 && !explicit["max-allocs-per-decision-churn"] {
-				budgets.MaxAllocsPerDecisionChurn = pb.MaxAllocsPerDecisionChurn
-			}
-			if pb.MaxAllocsPerDecisionFailover > 0 && !explicit["max-allocs-per-decision-failover"] {
-				budgets.MaxAllocsPerDecisionFailover = pb.MaxAllocsPerDecisionFailover
-			}
-			if pb.MaxMessagesPerAdmission > 0 && !explicit["max-messages-per-admission"] {
-				budgets.MaxMessagesPerAdmission = pb.MaxMessagesPerAdmission
-			}
-			if pb.MinDataplaneLocalityPct > 0 && !explicit["min-dataplane-locality-pct"] {
-				budgets.MinDataplaneLocalityPct = pb.MinDataplaneLocalityPct
-			}
-			if pb.MaxDataplaneMakespanP99MS > 0 && !explicit["max-dataplane-makespan-p99-ms"] {
-				budgets.MaxDataplaneMakespanP99MS = pb.MaxDataplaneMakespanP99MS
-			}
-			if pb.MinDataplaneServiceSLOPct > 0 && !explicit["min-dataplane-service-slo-pct"] {
-				budgets.MinDataplaneServiceSLOPct = pb.MinDataplaneServiceSLOPct
-			}
-			if pb.MinReplayServiceSLOPct > 0 && !explicit["min-replay-service-slo-pct"] {
-				budgets.MinReplayServiceSLOPct = pb.MinReplayServiceSLOPct
-			}
-			if pb.MaxReplayServiceAdmissionP99MS > 0 && !explicit["max-replay-service-admission-p99-ms"] {
-				budgets.MaxReplayServiceAdmissionP99MS = pb.MaxReplayServiceAdmissionP99MS
-			}
-			if pb.MaxReplayShedPct > 0 && !explicit["max-replay-shed-pct"] {
-				budgets.MaxReplayShedPct = pb.MaxReplayShedPct
-			}
-			if pb.MaxChaosConvergenceP99MS > 0 && !explicit["max-chaos-convergence-p99-ms"] {
-				budgets.MaxChaosConvergenceP99MS = pb.MaxChaosConvergenceP99MS
-			}
-			if pb.MaxChaosReissued > 0 && !explicit["max-chaos-reissued"] {
-				budgets.MaxChaosReissued = pb.MaxChaosReissued
-			}
-			if pb.MaxObsAllocsPerSample > 0 && !explicit["max-obs-allocs-per-sample"] {
-				budgets.MaxObsAllocsPerSample = pb.MaxObsAllocsPerSample
-			}
-			if pb.MaxCheckpointBytesPerJob > 0 && !explicit["max-checkpoint-bytes-per-job"] {
-				budgets.MaxCheckpointBytesPerJob = pb.MaxCheckpointBytesPerJob
-			}
-			if pb.MinSMPCoreSpeedupP4 > 0 && !explicit["min-smp-core-speedup"] {
-				budgets.MinSMPCoreSpeedupP4 = pb.MinSMPCoreSpeedupP4
-			}
-		}
-	}
-	return sections, &scale.PrevDiff{Path: path}
-}
-
-// diffPrev fills the prev-diff tag: sections this invocation produced that
-// the old baseline also has are compared (throughput summary to stdout);
-// sections the baseline predates are tagged skipped.
-func diffPrev(base *scale.PrevDiff, sections map[string]json.RawMessage, produced []string) *scale.PrevDiff {
-	if base == nil {
-		return nil
-	}
-	d := *base
-	for _, name := range produced {
-		raw, ok := sections[name]
-		if !ok {
-			d.SkippedSections = append(d.SkippedSections, name)
-			continue
-		}
-		d.Compared = append(d.Compared, name)
-		var old scale.Result
-		if err := json.Unmarshal(raw, &old); err == nil && old.DecisionsPerSec > 0 {
-			fmt.Printf("vs %s [%s]: %.0f decisions/s then\n", d.Path, name, old.DecisionsPerSec)
-		}
-	}
-	if len(d.SkippedSections) > 0 {
-		fmt.Printf("baseline %s predates sections %v: skipped, not compared\n",
-			d.Path, d.SkippedSections)
-	}
-	sort.Strings(d.Compared)
-	sort.Strings(d.SkippedSections)
-	return &d
 }
 
 func parseShardCounts(s string) ([]int, error) {

@@ -13,6 +13,8 @@
 //   - internal/experiments: regenerate every table and figure of §5
 //   - cmd/fuxisim, cmd/faultsim, cmd/graysort, cmd/tracestats: experiment CLIs
 //   - cmd/scalesim: the 5,000-machine stress harness and perf budget gate
+//     (one scenario table, one contract check, and the budgets table in
+//     BENCH_scale.json — edit a row to change a bound)
 //   - examples/: runnable walkthroughs of the public API
 //
 // # Multi-core FuxiMaster: sharded rounds with a deterministic merge

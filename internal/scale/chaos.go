@@ -378,7 +378,7 @@ type ChaosStats struct {
 	ConvergenceP99MS float64 `json:"convergence_p99_ms"`
 	ConvergenceMaxMS float64 `json:"convergence_max_ms"`
 	// Unconverged counts heal windows that hit the probe timeout (must be
-	// 0; CheckBudgets fails it unconditionally).
+	// 0; scalesim's chaos contract fails it unconditionally).
 	Unconverged int `json:"unconverged,omitempty"`
 
 	// LostGrants are revocations applications observed while a partition

@@ -17,6 +17,7 @@
 package scale
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -345,6 +346,8 @@ type Result struct {
 	EventsFired       uint64  `json:"events_fired"`
 	MessagesSent      uint64  `json:"messages_sent"`
 	MessageBatches    uint64  `json:"message_batches"`
+	// MessagesPerGrant is MessagesSent over Grants (0 without grants).
+	MessagesPerGrant float64 `json:"messages_per_grant"`
 
 	CompletedApps int `json:"completed_apps"`
 	// Truncated marks a run stopped (by WallBudget or Horizon) before every
@@ -477,170 +480,6 @@ type PrefixLatency struct {
 	RoundWindowMS map[string]float64 `json:"round_window_ms,omitempty"`
 }
 
-// Budgets are the perf regression gates scalesim enforces (and records in
-// BENCH_scale.json): a run whose allocation pressure per decision or
-// message volume per grant exceeds its budget exits non-zero in CI. The
-// per-admission budgets apply to gateway-mode runs only.
-type Budgets struct {
-	MaxAllocsPerDecision    float64 `json:"max_allocs_per_decision"`
-	MaxMessagesPerGrant     float64 `json:"max_messages_per_grant"`
-	MaxAllocsPerAdmission   float64 `json:"max_allocs_per_admission,omitempty"`
-	MaxMessagesPerAdmission float64 `json:"max_messages_per_admission,omitempty"`
-	// MaxAllocsPerDecisionChurn gates the steady-state churn section, which
-	// excludes arrival/teardown costs and therefore holds a much tighter
-	// line than the whole-run per-decision budget.
-	MaxAllocsPerDecisionChurn float64 `json:"max_allocs_per_decision_churn,omitempty"`
-	// MaxAllocsPerDecisionFailover gates the master-failover scenario,
-	// whose decisions carry the recovery waves (full soft-state rebuilds,
-	// re-registration storms) on top of normal scheduling.
-	MaxAllocsPerDecisionFailover float64 `json:"max_allocs_per_decision_failover,omitempty"`
-	// Dataplane gates (dataplane mode only): minimum locality hit rate over
-	// locality-tracked grants, maximum batch-job makespan p99, and minimum
-	// service-class demand-to-grant SLO attainment.
-	MinDataplaneLocalityPct   float64 `json:"min_dataplane_locality_pct,omitempty"`
-	MaxDataplaneMakespanP99MS float64 `json:"max_dataplane_makespan_p99_ms,omitempty"`
-	MinDataplaneServiceSLOPct float64 `json:"min_dataplane_service_slo_pct,omitempty"`
-	// Replay gates (replay mode only): minimum service-class demand-to-
-	// grant SLO attainment through the diurnal cycles and failure storms,
-	// maximum service-class admission p99, and maximum overall shed rate.
-	MinReplayServiceSLOPct         float64 `json:"min_replay_service_slo_pct,omitempty"`
-	MaxReplayServiceAdmissionP99MS float64 `json:"max_replay_service_admission_p99_ms,omitempty"`
-	MaxReplayShedPct               float64 `json:"max_replay_shed_pct,omitempty"`
-	// Chaos gates (chaos mode only): maximum convergence-after-heal p99 and
-	// maximum grants reissued during heal windows. Any unconverged heal
-	// window fails the check unconditionally — that is a correctness signal,
-	// not a calibrated budget.
-	MaxChaosConvergenceP99MS float64 `json:"max_chaos_convergence_p99_ms,omitempty"`
-	MaxChaosReissued         uint64  `json:"max_chaos_reissued,omitempty"`
-	// Obs gates (obs mode only): maximum allocations per time-series sample
-	// (the record path must stay alloc-free in steady state; the calibrated
-	// value is gated at a fraction of one) and maximum checkpoint bytes per
-	// registered job (the incremental-checkpoint regression line: a
-	// snapshot-per-write regression multiplies it by the job count).
-	MaxObsAllocsPerSample    float64 `json:"max_obs_allocs_per_sample,omitempty"`
-	MaxCheckpointBytesPerJob float64 `json:"max_checkpoint_bytes_per_job,omitempty"`
-	// MinSMPCoreSpeedupP4 gates the SMP lane's core-kernel wall-clock
-	// speedup at shards=4 — enforced only on hosts with >= 4 cores and
-	// GOMAXPROCS >= 4 (single-core runs are tagged and skipped).
-	MinSMPCoreSpeedupP4 float64 `json:"min_smp_core_speedup_p4,omitempty"`
-}
-
-// CheckBudgets returns the budget violations of this run (nil when within
-// budget; zero-valued budgets are not enforced). Gateway runs are gated on
-// the per-admission budgets only: the front-door workload — tens of
-// thousands of tiny jobs plus admission-control traffic — has a different
-// per-decision profile than the saturated batch churn the per-decision and
-// per-grant budgets were calibrated on.
-func (r *Result) CheckBudgets(b Budgets) []string {
-	var bad []string
-	if r.Obs != nil {
-		// Obs gates come first and do not dispatch away: an obs run is the
-		// churn workload underneath, so it faces the churn budgets too.
-		o := r.Obs
-		if b.MaxObsAllocsPerSample > 0 && o.AllocsPerSample > b.MaxObsAllocsPerSample {
-			bad = append(bad, fmt.Sprintf("obs allocs/sample %.3f exceeds budget %.3f",
-				o.AllocsPerSample, b.MaxObsAllocsPerSample))
-		}
-		if b.MaxCheckpointBytesPerJob > 0 && o.CheckpointBytesPerJob > b.MaxCheckpointBytesPerJob {
-			bad = append(bad, fmt.Sprintf("checkpoint bytes/job %.0f exceeds budget %.0f",
-				o.CheckpointBytesPerJob, b.MaxCheckpointBytesPerJob))
-		}
-	}
-	if r.Chaos != nil {
-		// Chaos runs are gated on recovery behaviour: any heal window that
-		// never reconverged is a hard failure, and the convergence-time and
-		// repair-traffic budgets hold the recovery path's regression line.
-		cz := r.Chaos
-		if cz.Unconverged > 0 {
-			bad = append(bad, fmt.Sprintf("%d heal window(s) never reconverged within the probe timeout",
-				cz.Unconverged))
-		}
-		if b.MaxChaosConvergenceP99MS > 0 && cz.ConvergenceP99MS > b.MaxChaosConvergenceP99MS {
-			bad = append(bad, fmt.Sprintf("chaos convergence p99 %.0f ms exceeds budget %.0f ms",
-				cz.ConvergenceP99MS, b.MaxChaosConvergenceP99MS))
-		}
-		if b.MaxChaosReissued > 0 && cz.ReissuedGrants > b.MaxChaosReissued {
-			bad = append(bad, fmt.Sprintf("chaos reissued grants %d exceed budget %d",
-				cz.ReissuedGrants, b.MaxChaosReissued))
-		}
-		return bad
-	}
-	if r.Replay != nil {
-		// Replay runs are gated on workload-level SLO attainment: the
-		// diurnal open-loop shape makes alloc-per-decision incomparable to
-		// the synthetic sections.
-		rp := r.Replay
-		if b.MinReplayServiceSLOPct > 0 && rp.Service.SLOAttainedPct < b.MinReplayServiceSLOPct {
-			bad = append(bad, fmt.Sprintf("replay service SLO attainment %.1f%% below budget %.1f%%",
-				rp.Service.SLOAttainedPct, b.MinReplayServiceSLOPct))
-		}
-		if b.MaxReplayServiceAdmissionP99MS > 0 && rp.Service.AdmissionP99MS > b.MaxReplayServiceAdmissionP99MS {
-			bad = append(bad, fmt.Sprintf("replay service admission p99 %.0f ms exceeds budget %.0f ms",
-				rp.Service.AdmissionP99MS, b.MaxReplayServiceAdmissionP99MS))
-		}
-		if b.MaxReplayShedPct > 0 && rp.ShedPct > b.MaxReplayShedPct {
-			bad = append(bad, fmt.Sprintf("replay shed rate %.1f%% exceeds budget %.1f%%",
-				rp.ShedPct, b.MaxReplayShedPct))
-		}
-		return bad
-	}
-	if r.Dataplane != nil {
-		// Dataplane runs are gated on the application-level metrics: the few
-		// heavy jobs behind the gateway make the per-admission (and
-		// per-decision) allocation profiles incomparable to the synthetic
-		// sections those budgets were calibrated on.
-		d := r.Dataplane
-		if b.MinDataplaneLocalityPct > 0 && d.LocalityHitRatePct < b.MinDataplaneLocalityPct {
-			bad = append(bad, fmt.Sprintf("dataplane locality %.1f%% below budget %.1f%%",
-				d.LocalityHitRatePct, b.MinDataplaneLocalityPct))
-		}
-		if b.MaxDataplaneMakespanP99MS > 0 && d.MakespanP99MS > b.MaxDataplaneMakespanP99MS {
-			bad = append(bad, fmt.Sprintf("dataplane makespan p99 %.0f ms exceeds budget %.0f ms",
-				d.MakespanP99MS, b.MaxDataplaneMakespanP99MS))
-		}
-		if b.MinDataplaneServiceSLOPct > 0 && d.Service.SLOAttainedPct < b.MinDataplaneServiceSLOPct {
-			bad = append(bad, fmt.Sprintf("dataplane service SLO attainment %.1f%% below budget %.1f%%",
-				d.Service.SLOAttainedPct, b.MinDataplaneServiceSLOPct))
-		}
-		return bad
-	}
-	if r.Gateway != nil {
-		if b.MaxAllocsPerAdmission > 0 && r.AllocsPerAdmission > b.MaxAllocsPerAdmission {
-			bad = append(bad, fmt.Sprintf("allocs/admission %.1f exceeds budget %.1f",
-				r.AllocsPerAdmission, b.MaxAllocsPerAdmission))
-		}
-		if b.MaxMessagesPerAdmission > 0 && r.MessagesPerAdmission > b.MaxMessagesPerAdmission {
-			bad = append(bad, fmt.Sprintf("messages/admission %.1f exceeds budget %.1f",
-				r.MessagesPerAdmission, b.MaxMessagesPerAdmission))
-		}
-		return bad
-	}
-	switch {
-	case r.Config.Churn:
-		if b.MaxAllocsPerDecisionChurn > 0 && r.AllocsPerDecision > b.MaxAllocsPerDecisionChurn {
-			bad = append(bad, fmt.Sprintf("churn allocs/decision %.1f exceeds budget %.1f",
-				r.AllocsPerDecision, b.MaxAllocsPerDecisionChurn))
-		}
-	case len(r.Config.MasterFailoverAt) > 0:
-		if b.MaxAllocsPerDecisionFailover > 0 && r.AllocsPerDecision > b.MaxAllocsPerDecisionFailover {
-			bad = append(bad, fmt.Sprintf("failover allocs/decision %.1f exceeds budget %.1f",
-				r.AllocsPerDecision, b.MaxAllocsPerDecisionFailover))
-		}
-	default:
-		if b.MaxAllocsPerDecision > 0 && r.AllocsPerDecision > b.MaxAllocsPerDecision {
-			bad = append(bad, fmt.Sprintf("allocs/decision %.1f exceeds budget %.1f",
-				r.AllocsPerDecision, b.MaxAllocsPerDecision))
-		}
-	}
-	if b.MaxMessagesPerGrant > 0 && r.Grants > 0 {
-		if mpg := float64(r.MessagesSent) / float64(r.Grants); mpg > b.MaxMessagesPerGrant {
-			bad = append(bad, fmt.Sprintf("messages/grant %.2f exceeds budget %.2f",
-				mpg, b.MaxMessagesPerGrant))
-		}
-	}
-	return bad
-}
-
 // PrevDiff tags a run with how it relates to a previous BENCH_scale.json:
 // which sections were compared and which this build produced but the old
 // baseline predates (e.g. a pre-gateway file has no `gateway` section —
@@ -666,8 +505,10 @@ type CompareResult struct {
 	// CommonPrefixLatency compares latency over the apps every section
 	// completed (see PrefixLatency).
 	CommonPrefixLatency *PrefixLatency `json:"common_prefix_latency,omitempty"`
-	Budgets             *Budgets       `json:"budgets,omitempty"`
-	Failover            *Result        `json:"failover,omitempty"`
+	// Budgets is the -prev file's budgets table, carried over unchanged
+	// (scalesim evaluates it; nothing here interprets it).
+	Budgets  json.RawMessage `json:"budgets,omitempty"`
+	Failover *Result         `json:"failover,omitempty"`
 	// GatewayRun holds the gateway-mode scenario on the same cluster
 	// footprint (scalesim -compare -gateway).
 	GatewayRun *Result   `json:"gateway,omitempty"`
@@ -1166,6 +1007,9 @@ func Run(cfg Config) (*Result, error) {
 	if res.Decisions > 0 {
 		res.DecisionsPerSec = float64(res.Decisions) / wall
 		res.AllocsPerDecision = float64(after.Mallocs-before.Mallocs) / float64(res.Decisions)
+	}
+	if res.Grants > 0 {
+		res.MessagesPerGrant = float64(res.MessagesSent) / float64(res.Grants)
 	}
 	res.Completed = h.names
 	res.AppLatency = h.appLat

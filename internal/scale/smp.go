@@ -23,6 +23,7 @@ package scale
 // degrades gracefully instead of flaking.
 
 import (
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"time"
@@ -127,6 +128,9 @@ type SMPResult struct {
 	CoreParityOK   bool `json:"core_parity_ok"`
 	RoundsParityOK bool `json:"rounds_parity_ok"`
 	ChurnParityOK  bool `json:"churn_parity_ok"`
+
+	// Budgets is the -prev file's budgets table, carried over unchanged.
+	Budgets json.RawMessage `json:"budgets,omitempty"`
 }
 
 // ParityOK reports whether every lane's decision streams were
