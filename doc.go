@@ -56,9 +56,10 @@
 // their topology index — assigned from the sorted name list, so every
 // process derives identical IDs and they are safe on the simulated wire:
 // GrantUpdate/GrantReturn/CapacityQuery/heartbeat traffic all speak machine
-// IDs. Applications are interned per component (the master's scheduler
-// assigns registration-order IDs; each agent interns the app names in its
-// capacity ledger), transport endpoints are interned by the Net (handlers
+// IDs. Applications are interned by the master's scheduler (IDs in
+// registration order); each agent keeps its capacity ledger in slots found
+// through an index keyed by the app-name hash, so it holds no intern table
+// of every app it ever hosted. Transport endpoints are interned by the Net (handlers
 // receive sender EndpointIDs; dedup high-water marks key on them), and the
 // scheduler/master wrapper keep per-machine state — free vectors, down and
 // blacklist marks, heartbeat clocks, flap scores, wait queues — in slices

@@ -10,18 +10,21 @@
 // §4.3.1), while a machine crash kills everything.
 //
 // Hot-path identifiers: the agent speaks its dense machine ID on the wire
-// (heartbeats, capacity queries) and keys its capacity ledger by a locally
-// interned application ID, so the steady-state beat and the per-round
-// capacity-delta decode hash integers, not names. Names survive at the
-// boundaries: the anchor allocation table (apps must be recognizable across
-// master failovers) and the worker-management messages of the job layer.
+// (heartbeats, capacity queries) and keeps its capacity ledger in a slice of
+// (app, unit) slots, found through an integer index keyed by the app's
+// protocol.NameHash mixed with the unit. The name hash is computed once per
+// run of equal app names in a capacity delta and stored on the slot (the
+// ledger fingerprint reuses it), so no step of the per-message path hashes a
+// name into a map, and there is no local intern table to outlive the apps it
+// named. Names survive at the boundaries: the anchor allocation table (apps
+// must be recognizable across master failovers) and the worker-management
+// messages of the job layer.
 package agent
 
 import (
 	"fmt"
 	"sort"
 
-	"repro/internal/ident"
 	"repro/internal/protocol"
 	"repro/internal/resource"
 	"repro/internal/sim"
@@ -56,22 +59,24 @@ func DefaultConfig() Config {
 	}
 }
 
-// capKey packs one (app, unit) capacity address into a single integer —
-// the agent's local app intern ID in the high half, the unit ID in the low
-// half — so the per-delta hot path runs on a value map with 8-byte keys:
-// no per-entry pointer, no struct hashing, nothing for the GC to chase.
-type capKey uint64
-
-func makeCapKey(app int32, unitID int) capKey {
-	return capKey(uint64(uint32(app))<<32 | uint64(uint32(unitID)))
+// capSlot is one (app, unit) entry of the capacity ledger. nameHash is
+// protocol.NameHash(app), kept so fingerprint updates and index rebuilds
+// never re-hash the name; dirty marks the slot as listed in Agent.dirty.
+// The container size a grant carries is not kept: enforcement counts
+// processes, and the overload guard reads each process's own size.
+type capSlot struct {
+	app      string
+	nameHash uint64
+	unit     int
+	count    int
+	dirty    bool
 }
 
-func (k capKey) app() int32  { return int32(uint32(k >> 32)) }
-func (k capKey) unitID() int { return int(int32(uint32(k))) }
-
-type capEntry struct {
-	size  resource.Vector
-	count int
+// slotKey mixes an app's name hash with a unit ID into a ledger index key.
+// Distinct (app, unit) pairs may share a key; the index is a cache that a
+// hit must confirm by (name, unit), never the authority.
+func slotKey(nameHash uint64, unitID int) uint64 {
+	return nameHash ^ uint64(uint32(unitID))*0x9e3779b97f4a7c15
 }
 
 // Proc is one supervised worker process.
@@ -104,17 +109,16 @@ type Agent struct {
 	// not the daemon, so it survives daemon crashes.
 	procs map[string]*Proc
 
-	// appTbl interns application names; capacity/dirty key by the local ID.
-	// The table survives daemon crashes (it is only a name dictionary; the
-	// ledger itself is rebuilt from the master's CapacitySync).
-	appTbl   ident.Table
-	capacity map[capKey]capEntry
+	// slots is the capacity ledger. index maps slotKey to a slot holding
+	// that key; every slot's key is present, so a missing key is a miss,
+	// and a hit naming another (app, unit) falls back to a scan of slots.
+	// Zero-count slots stay for reuse until the next anchor beat reaps them.
+	slots []capSlot
+	index map[uint64]int32
 	// ledgerFP is the capacity table's commutative fingerprint (wrapping
 	// sum of protocol.LedgerEntryFP over its entries), maintained on every
 	// capacity change and equal to the master's Scheduler.LedgerFP for this
-	// machine whenever the two ledgers agree. App names are hashed on
-	// demand rather than cached per intern ID: a per-agent hash cache costs
-	// more memory across thousands of agents than the hashing costs time.
+	// machine whenever the two ledgers agree.
 	ledgerFP  uint64
 	daemonUp  bool
 	machineUp bool
@@ -136,12 +140,12 @@ type Agent struct {
 	// not one per surviving delta.
 	nextAnchorReq sim.Time
 
-	// Delta-heartbeat state: dirty marks capacity entries whose count
-	// changed since the last beat, sinceAnchor counts beats since the last
+	// Delta-heartbeat state: dirty lists the slots touched by a capacity
+	// message since the last beat, sinceAnchor counts beats since the last
 	// full-table anchor, and forceAnchor requests an immediate anchor (a
 	// restart, a capacity sync replacing the whole table, or a MasterHello
 	// from a promoted primary collecting soft state).
-	dirty       map[capKey]struct{}
+	dirty       []int32
 	sinceAnchor int
 	forceAnchor bool
 	// hbRing/hbBufs are the reusable heartbeat messages and their payload
@@ -172,11 +176,10 @@ func New(cfg Config, eng *sim.Engine, net *transport.Net, m *topology.Machine) *
 		cap:       m.Capacity,
 		id:        m.ID(),
 		procs:     make(map[string]*Proc),
-		capacity:  make(map[capKey]capEntry),
+		index:     make(map[uint64]int32),
 		daemonUp:  true,
 		machineUp: true,
 		health:    100,
-		dirty:     make(map[capKey]struct{}),
 	}
 	if a.cfg.AnchorEvery <= 0 {
 		a.cfg.AnchorEvery = 10
@@ -208,11 +211,101 @@ func (a *Agent) Proc(workerID string) *Proc { return a.procs[workerID] }
 
 // Capacity returns the granted container count for (app, unit).
 func (a *Agent) Capacity(app string, unitID int) int {
-	id := a.appTbl.ID(app)
-	if id < 0 {
-		return 0
+	if i := a.find(app, protocol.NameHash(app), unitID); i >= 0 {
+		return a.slots[i].count
 	}
-	return a.capacity[makeCapKey(id, unitID)].count
+	return 0
+}
+
+// find returns the slot index of (app, unitID), or -1 when the ledger has
+// no such entry; nameHash is protocol.NameHash(app).
+func (a *Agent) find(app string, nameHash uint64, unitID int) int {
+	i, ok := a.index[slotKey(nameHash, unitID)]
+	if !ok {
+		return -1
+	}
+	if s := &a.slots[i]; s.unit == unitID && s.app == app {
+		return int(i)
+	}
+	// Key collision: another (app, unit) owns this index entry.
+	for j := range a.slots {
+		if s := &a.slots[j]; s.unit == unitID && s.app == app {
+			return j
+		}
+	}
+	return -1
+}
+
+// slot returns the slot index of (app, unitID), appending a zero-count slot
+// when the ledger has none.
+func (a *Agent) slot(app string, nameHash uint64, unitID int) int {
+	if i := a.find(app, nameHash, unitID); i >= 0 {
+		return i
+	}
+	i := len(a.slots)
+	a.slots = append(a.slots, capSlot{app: app, nameHash: nameHash, unit: unitID})
+	a.indexSlot(i)
+	return i
+}
+
+// indexSlot enters slot i into the index unless its key is already taken.
+func (a *Agent) indexSlot(i int) {
+	k := slotKey(a.slots[i].nameHash, a.slots[i].unit)
+	if _, taken := a.index[k]; !taken {
+		a.index[k] = int32(i)
+	}
+}
+
+// reap drops the zero-count slots and rebuilds the index over the live
+// ones. It runs only with an empty dirty list (slot indices move). Storage
+// sized by an earlier peak is given back, so the ledger stays bounded by
+// the live entries of one anchor period, not by every app ever hosted.
+func (a *Agent) reap() {
+	live := 0
+	for i := range a.slots {
+		if a.slots[i].count > 0 {
+			a.slots[live] = a.slots[i]
+			live++
+		}
+	}
+	if live == len(a.slots) {
+		return
+	}
+	clear(a.slots[live:])
+	a.slots = a.slots[:live]
+	if oversized(cap(a.slots), live) {
+		a.slots = append([]capSlot(nil), a.slots...)
+	}
+	if oversized(len(a.index), live) {
+		a.index = make(map[uint64]int32, live)
+	} else {
+		clear(a.index)
+	}
+	for i := range a.slots {
+		a.indexSlot(i)
+	}
+}
+
+// oversized reports whether storage for n entries is worth giving back when
+// only live remain: the slack is both large and most of the storage, so the
+// normal ebb and flow of one agent's grants never reallocates.
+func oversized(n, live int) bool { return n > 4*live+256 }
+
+// clearDirty empties the dirty list.
+func (a *Agent) clearDirty() {
+	for _, i := range a.dirty {
+		a.slots[i].dirty = false
+	}
+	a.dirty = a.dirty[:0]
+}
+
+// resetLedger empties the capacity ledger (daemon state lost or replaced).
+func (a *Agent) resetLedger() {
+	a.dirty = a.dirty[:0]
+	clear(a.slots)
+	a.slots = a.slots[:0]
+	clear(a.index)
+	a.ledgerFP = 0
 }
 
 // LedgerFP returns the capacity table's ledger fingerprint (see
@@ -224,16 +317,16 @@ func (a *Agent) LedgerFP() uint64 { return a.ledgerFP }
 // count (a copy, names at the boundary). The cluster-wide invariant checker
 // compares it against the master's grant ledger.
 func (a *Agent) Allocations() map[string]map[int]int {
-	out := make(map[string]map[int]int, len(a.capacity))
-	for k, e := range a.capacity {
-		if e.count <= 0 {
+	out := make(map[string]map[int]int, len(a.slots))
+	for i := range a.slots {
+		s := &a.slots[i]
+		if s.count <= 0 {
 			continue
 		}
-		app := a.appTbl.Name(k.app())
-		if out[app] == nil {
-			out[app] = make(map[int]int)
+		if out[s.app] == nil {
+			out[s.app] = make(map[int]int)
 		}
-		out[app][k.unitID()] = e.count
+		out[s.app][s.unit] = s.count
 	}
 	return out
 }
@@ -242,9 +335,9 @@ func (a *Agent) Allocations() map[string]map[int]int {
 // anchor heartbeat carries, reusing the heartbeat payload buffer.
 func (a *Agent) allocTable(buf []protocol.AllocDelta) []protocol.AllocDelta {
 	out := buf[:0]
-	for k, e := range a.capacity {
-		if e.count > 0 {
-			out = append(out, protocol.AllocDelta{App: a.appTbl.Name(k.app()), UnitID: k.unitID(), Count: e.count})
+	for i := range a.slots {
+		if s := &a.slots[i]; s.count > 0 {
+			out = append(out, protocol.AllocDelta{App: s.app, UnitID: s.unit, Count: s.count})
 		}
 	}
 	protocol.SortAllocDeltas(out)
@@ -291,29 +384,24 @@ func (a *Agent) sendHeartbeat() {
 		hb.Full = true
 		a.hbBufs[slot] = a.allocTable(a.hbBufs[slot])
 		hb.Allocations = a.hbBufs[slot]
-		// Anchor time is also reaping time: zero-count entries are kept
+		// Anchor time is also reaping time: zero-count slots are kept
 		// between anchors so a returning grant for the same (app, unit)
-		// reuses its entry, but entries dead for a whole anchor period
+		// reuses its slot, but slots dead for a whole anchor period
 		// (typically unregistered apps) would otherwise accumulate forever.
-		for k, e := range a.capacity {
-			if e.count <= 0 {
-				delete(a.capacity, k)
-			}
-		}
+		a.clearDirty()
+		a.reap()
 		a.forceAnchor = false
 		a.sinceAnchor = 0
-		clear(a.dirty)
 	} else if len(a.dirty) > 0 {
 		changes := a.hbBufs[slot][:0]
-		for k := range a.dirty {
-			changes = append(changes, protocol.AllocDelta{
-				App: a.appTbl.Name(k.app()), UnitID: k.unitID(), Count: a.capacity[k].count,
-			})
+		for _, i := range a.dirty {
+			s := &a.slots[i]
+			changes = append(changes, protocol.AllocDelta{App: s.app, UnitID: s.unit, Count: s.count})
 		}
 		protocol.SortAllocDeltas(changes)
 		a.hbBufs[slot] = changes
 		hb.Changes = changes
-		clear(a.dirty)
+		a.clearDirty()
 	}
 	a.net.SendID(a.epID, a.masterID, hb)
 }
@@ -396,7 +484,7 @@ func (a *Agent) handle(from transport.EndpointID, msg transport.Message) {
 		if a.dedup.ObserveCh(int32(from), protocol.ChanCap, t.Seq) == protocol.Duplicate {
 			return
 		}
-		a.applyCapacity(t.App, t.UnitID, t.Size, t.Delta)
+		a.applyCapacity(t.App, protocol.NameHash(t.App), t.UnitID, t.Delta)
 	case protocol.CapacityDelta:
 		if a.staleEpoch(t.Epoch) {
 			return
@@ -414,15 +502,17 @@ func (a *Agent) handle(from transport.EndpointID, msg transport.Message) {
 			// repair sync of its own).
 			a.requestAnchor()
 		}
-		// One intern per run of equal app names: a round's delta lists the
-		// same app's units contiguously, and string equality short-circuits
-		// on the header, so the memo kills most per-entry string hashing.
-		lastApp, lastID := "", int32(-1)
-		for _, e := range t.Entries {
-			if lastID < 0 || e.App != lastApp {
-				lastApp, lastID = e.App, a.appTbl.Intern(e.App)
+		// One name hash per run of equal app names: a round's delta lists
+		// the same app's units contiguously, and string equality
+		// short-circuits on the header, so the memo kills most per-entry
+		// string hashing.
+		var lastApp string
+		var lastHash uint64
+		for j, e := range t.Entries {
+			if j == 0 || e.App != lastApp {
+				lastApp, lastHash = e.App, protocol.NameHash(e.App)
 			}
-			a.applyCapacityID(lastID, e.UnitID, e.Size, e.Count)
+			a.applyCapacity(lastApp, lastHash, e.UnitID, e.Count)
 		}
 	case protocol.CapacitySync:
 		if a.staleEpoch(t.Epoch) {
@@ -461,42 +551,33 @@ func (a *Agent) handle(from transport.EndpointID, msg transport.Message) {
 	}
 }
 
-func (a *Agent) applyCapacity(app string, unitID int, size resource.Vector, delta int) {
-	a.applyCapacityID(a.appTbl.Intern(app), unitID, size, delta)
-}
-
-func (a *Agent) applyCapacityID(app int32, unitID int, size resource.Vector, delta int) {
-	k := makeCapKey(app, unitID)
-	a.dirty[k] = struct{}{}
-	e := a.capacity[k]
-	old := e.count
-	e.size = size
-	e.count += delta
-	if e.count < 0 {
-		e.count = 0
+// applyCapacity adds delta (clamped at a zero count) to the (app, unitID)
+// entry; nameHash is protocol.NameHash(app).
+func (a *Agent) applyCapacity(app string, nameHash uint64, unitID, delta int) {
+	i := a.slot(app, nameHash, unitID)
+	s := &a.slots[i]
+	if !s.dirty {
+		s.dirty = true
+		a.dirty = append(a.dirty, int32(i))
 	}
-	if e.count != old {
-		h := protocol.NameHash(a.appTbl.Name(app))
-		a.ledgerFP += protocol.LedgerEntryFP(h, unitID, e.count) - protocol.LedgerEntryFP(h, unitID, old)
+	old := s.count
+	s.count = max(old+delta, 0)
+	if s.count != old {
+		a.ledgerFP += protocol.LedgerEntryFP(s.nameHash, unitID, s.count) - protocol.LedgerEntryFP(s.nameHash, unitID, old)
 	}
-	// Zero-count entries stay in the table for reuse: the scale workload
-	// cycles (app, unit) capacity on a machine many times, and re-creating
-	// the entry each cycle showed up in the paper-scale allocation profile.
-	a.capacity[k] = e
-	a.ensureCapacity(k, e.count)
+	a.ensureCapacity(s.app, unitID, s.count)
 }
 
 // ensureCapacity kills excess processes when granted capacity shrank below
 // the number of running workers and the application master did not stop one
 // itself (paper §2.2 "resource capacity ensurance").
-func (a *Agent) ensureCapacity(k capKey, count int) {
+func (a *Agent) ensureCapacity(app string, unitID, count int) {
 	if len(a.procs) == 0 {
 		return // nothing supervised (the common state at control-plane scale)
 	}
-	app := a.appTbl.Name(k.app())
 	var owned []*Proc
 	for _, p := range a.procs {
-		if p.App == app && p.UnitID == k.unitID() {
+		if p.App == app && p.UnitID == unitID {
 			owned = append(owned, p)
 		}
 	}
@@ -533,10 +614,7 @@ func (a *Agent) startWorker(from transport.EndpointID, t protocol.WorkPlan) {
 		})
 		return
 	}
-	capCount := 0
-	if id := a.appTbl.ID(t.App); id >= 0 {
-		capCount = a.capacity[makeCapKey(id, t.UnitID)].count
-	}
+	capCount := a.Capacity(t.App, t.UnitID)
 	running := 0
 	for _, p := range a.procs {
 		if p.App == t.App && p.UnitID == t.UnitID {
@@ -636,8 +714,7 @@ func (a *Agent) CrashDaemon() {
 	a.timers = nil
 	a.net.Unregister(a.endpoint())
 	// In-memory daemon state is lost.
-	a.capacity = make(map[capKey]capEntry)
-	a.ledgerFP = 0
+	a.resetLedger()
 	a.dedup = protocol.Dedup{}
 }
 
@@ -675,39 +752,40 @@ func (a *Agent) applyCapacitySync(t protocol.CapacitySync) {
 	// The whole table is replaced: the next beat re-anchors rather than
 	// enumerating every entry as a change.
 	a.forceAnchor = true
-	clear(a.dirty)
-	a.capacity = make(map[capKey]capEntry, len(t.Entries))
-	for _, e := range t.Entries {
-		if e.Count > 0 {
-			a.capacity[makeCapKey(a.appTbl.Intern(e.App), e.UnitID)] = capEntry{size: e.Size, count: e.Count}
+	a.resetLedger()
+	var lastApp string
+	var lastHash uint64
+	for j, e := range t.Entries {
+		if j == 0 || e.App != lastApp {
+			lastApp, lastHash = e.App, protocol.NameHash(e.App)
 		}
-	}
-	a.ledgerFP = 0
-	for k, e := range a.capacity {
-		a.ledgerFP += protocol.LedgerEntryFP(protocol.NameHash(a.appTbl.Name(k.app())), k.unitID(), e.count)
+		if e.Count > 0 {
+			i := a.slot(lastApp, lastHash, e.UnitID)
+			a.slots[i].count = e.Count
+		}
 	}
 	// Enforce (and below, reap) in sorted name order so the enforcement
-	// kills and their failure reports are seed-reproducible (local intern
-	// IDs follow first-sight order, not name order, so sort by name).
-	keys := make([]capKey, 0, len(a.capacity))
-	for k := range a.capacity {
-		keys = append(keys, k)
+	// kills and their failure reports are seed-reproducible.
+	order := make([]int, len(a.slots))
+	for i := range order {
+		order[i] = i
+		s := &a.slots[i]
+		a.ledgerFP += protocol.LedgerEntryFP(s.nameHash, s.unit, s.count)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		ni, nj := a.appTbl.Name(keys[i].app()), a.appTbl.Name(keys[j].app())
-		if ni != nj {
-			return ni < nj
+	sort.Slice(order, func(i, j int) bool {
+		si, sj := &a.slots[order[i]], &a.slots[order[j]]
+		if si.app != sj.app {
+			return si.app < sj.app
 		}
-		return keys[i].unitID() < keys[j].unitID()
+		return si.unit < sj.unit
 	})
-	for _, k := range keys {
-		a.ensureCapacity(k, a.capacity[k].count)
+	for _, i := range order {
+		a.ensureCapacity(a.slots[i].app, a.slots[i].unit, a.slots[i].count)
 	}
 	// Processes whose capacity vanished entirely while the daemon was down:
 	var orphans []*Proc
 	for _, p := range a.procs {
-		id := a.appTbl.ID(p.App)
-		if id < 0 || a.capacity[makeCapKey(id, p.UnitID)].count == 0 {
+		if a.Capacity(p.App, p.UnitID) == 0 {
 			orphans = append(orphans, p)
 		}
 	}
@@ -773,8 +851,7 @@ func (a *Agent) CrashMachine() {
 		p.State = protocol.WorkerFailed
 		delete(a.procs, id)
 	}
-	a.capacity = make(map[capKey]capEntry)
-	a.ledgerFP = 0
+	a.resetLedger()
 	a.net.SetDown(a.endpoint(), true)
 }
 
@@ -787,7 +864,6 @@ func (a *Agent) RestartMachine() {
 	a.machineUp = true
 	a.daemonUp = true
 	a.forceAnchor = true
-	clear(a.dirty)
 	a.dedup = protocol.Dedup{}
 	a.net.SetDown(a.endpoint(), false)
 	a.net.Register(a.endpoint(), a.handle)

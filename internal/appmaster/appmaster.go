@@ -12,7 +12,10 @@
 package appmaster
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/protocol"
 	"repro/internal/resource"
@@ -54,6 +57,50 @@ type locTarget struct {
 	value string
 }
 
+// clusterTarget is the cluster-level demand target, the one every grant can
+// consume; unitDemand keeps it as a plain count.
+var clusterTarget = locTarget{typ: resource.LocalityCluster}
+
+// unitDemand is one unit's outstanding demand: the cluster-level count as a
+// plain integer, every other target (machine, rack) in a map created on
+// first use — most applications never ask for locality, and their grants
+// then consume demand without a name lookup.
+type unitDemand struct {
+	cluster int
+	loc     map[locTarget]int
+}
+
+func (d *unitDemand) get(k locTarget) int {
+	if k == clusterTarget {
+		return d.cluster
+	}
+	return d.loc[k]
+}
+
+// set stores n (>= 0) for k; a zero count leaves no map entry behind.
+func (d *unitDemand) set(k locTarget, n int) {
+	switch {
+	case k == clusterTarget:
+		d.cluster = n
+	case n == 0:
+		delete(d.loc, k)
+	default:
+		if d.loc == nil {
+			d.loc = make(map[locTarget]int)
+		}
+		d.loc[k] = n
+	}
+}
+
+// total is the unit's outstanding demand over every target.
+func (d *unitDemand) total() int {
+	n := d.cluster
+	for _, c := range d.loc {
+		n += c
+	}
+	return n
+}
+
 // heldKey packs (unit ID, machine ID) into the container ledger's map key.
 type heldKey uint64
 
@@ -75,12 +122,13 @@ type AM struct {
 	epID     transport.EndpointID // own endpoint
 	masterID transport.EndpointID // the logical master endpoint
 
-	// outstanding is this side's view of still-unfulfilled demand and held
-	// the container ledger; both are created on first use — a large
-	// fraction of gateway-scale jobs never populate more than one unit, and
-	// the per-job map count was measurable. held packs (unit, machine ID)
-	// into one 8-byte key, so the whole ledger is a single value map.
-	outstanding map[int]map[locTarget]int
+	// outstanding is this side's view of still-unfulfilled demand, one
+	// entry per unit parallel to cfg.Units, and held the container ledger;
+	// both are created on first use — most gateway-scale jobs never
+	// request or hold anything, and the per-job allocation count was
+	// measurable. held packs (unit, machine ID) into one 8-byte key, so the
+	// whole ledger is a single value map.
+	outstanding []unitDemand
 	held        map[heldKey]int
 	// workers tracks every worker this application asked agents to run
 	// (nil until the first StartWorker/AdoptWorker — gateway-scale job
@@ -143,16 +191,36 @@ func (a *AM) send(to string, msg transport.Message) { a.net.SendID(a.epID, a.net
 
 func (a *AM) sendToMaster(msg transport.Message) { a.net.SendID(a.epID, a.masterID, msg) }
 
-// unit returns the definition of unitID (found reports success). A linear
-// scan of the config slice: unit counts are small and the scan beats a
-// per-AM map at gateway population scales.
+// unit returns the definition of unitID (found reports success).
 func (a *AM) unit(unitID int) (resource.ScheduleUnit, bool) {
-	for i := range a.cfg.Units {
-		if a.cfg.Units[i].ID == unitID {
-			return a.cfg.Units[i], true
-		}
+	if i := a.unitIndex(unitID); i >= 0 {
+		return a.cfg.Units[i], true
 	}
 	return resource.ScheduleUnit{}, false
+}
+
+// unitIndex returns the position of unitID in cfg.Units (-1 when unknown).
+// A linear scan of the config slice: unit counts are small and the scan
+// beats a per-AM map at gateway population scales.
+func (a *AM) unitIndex(unitID int) int {
+	for i := range a.cfg.Units {
+		if a.cfg.Units[i].ID == unitID {
+			return i
+		}
+	}
+	return -1
+}
+
+// demand returns the outstanding-demand entry of unitID, or nil when the
+// unit is unknown or nothing was ever requested.
+func (a *AM) demand(unitID int) *unitDemand {
+	if a.outstanding == nil {
+		return nil
+	}
+	if i := a.unitIndex(unitID); i >= 0 {
+		return &a.outstanding[i]
+	}
+	return nil
 }
 
 // MachineName converts a dense machine ID to its name (the job-layer
@@ -166,17 +234,14 @@ func (a *AM) MachineName(id int32) string { return a.top.MachineName(id) }
 // after the call.
 func (a *AM) Request(unitID int, hints ...resource.LocalityHint) {
 	a.flushReturns() // keep the master-bound message stream in order
-	if _, known := a.unit(unitID); !known {
+	ui := a.unitIndex(unitID)
+	if ui < 0 {
 		return
 	}
-	out := a.outstanding[unitID]
-	if out == nil {
-		if a.outstanding == nil {
-			a.outstanding = make(map[int]map[locTarget]int, len(a.cfg.Units))
-		}
-		out = make(map[locTarget]int)
-		a.outstanding[unitID] = out
+	if a.outstanding == nil {
+		a.outstanding = make([]unitDemand, len(a.cfg.Units))
 	}
+	d := &a.outstanding[ui]
 	// Fast path: additions can never need dropping or clamping (clamping
 	// only guards withdrawals, and checking those per-hint would miss
 	// cumulative over-withdrawal on a repeated target) — ship the caller's
@@ -191,7 +256,8 @@ func (a *AM) Request(unitID int, hints ...resource.LocalityHint) {
 	deltas := hints
 	if clean {
 		for _, h := range hints {
-			out[locTarget{h.Type, h.Value}] += h.Count
+			k := locTarget{h.Type, h.Value}
+			d.set(k, d.get(k)+h.Count)
 		}
 		if len(deltas) == 0 {
 			return
@@ -203,7 +269,7 @@ func (a *AM) Request(unitID int, hints ...resource.LocalityHint) {
 				continue
 			}
 			k := locTarget{h.Type, h.Value}
-			n := out[k] + h.Count
+			n := d.get(k) + h.Count
 			if n < 0 {
 				h.Count -= n // clamp withdrawal at zero outstanding
 				n = 0
@@ -211,7 +277,7 @@ func (a *AM) Request(unitID int, hints ...resource.LocalityHint) {
 			if h.Count == 0 {
 				continue
 			}
-			out[k] = n
+			d.set(k, n)
 			valid = append(valid, h)
 		}
 		if len(valid) == 0 {
@@ -518,11 +584,10 @@ func (a *AM) ObtainedTotal() resource.Vector {
 
 // Outstanding returns this side's view of unfulfilled demand for a unit.
 func (a *AM) Outstanding(unitID int) int {
-	n := 0
-	for _, c := range a.outstanding[unitID] {
-		n += c
+	if d := a.demand(unitID); d != nil {
+		return d.total()
 	}
-	return n
+	return 0
 }
 
 // Worker returns the application's view of a worker (nil when unknown).
@@ -664,21 +729,24 @@ func (a *AM) applyGrant(t protocol.GrantUpdate) {
 // consumeOutstanding mirrors the master's grant accounting on the demand
 // view: a grant on machine M consumes machine-level demand on M first, then
 // rack-level demand on rack(M), then cluster-level demand. Any residual
-// divergence is repaired by the periodic full sync.
+// divergence is repaired by the periodic full sync. Without located demand
+// the machine and rack names are never looked up.
 func (a *AM) consumeOutstanding(unitID int, machine int32, count int) {
-	out := a.outstanding[unitID]
-	take := func(k locTarget) {
-		for count > 0 && out[k] > 0 {
-			out[k]--
-			count--
-		}
-		if out[k] == 0 {
-			delete(out, k)
+	d := a.demand(unitID)
+	if d == nil {
+		return
+	}
+	if len(d.loc) > 0 {
+		for _, k := range [...]locTarget{
+			{resource.LocalityMachine, a.top.MachineName(machine)},
+			{resource.LocalityRack, a.top.RackName(a.top.RackIDOf(machine))},
+		} {
+			n := min(count, d.loc[k])
+			d.set(k, d.loc[k]-n)
+			count -= n
 		}
 	}
-	take(locTarget{resource.LocalityMachine, a.top.MachineName(machine)})
-	take(locTarget{resource.LocalityRack, a.top.RackName(a.top.RackIDOf(machine))})
-	take(locTarget{resource.LocalityCluster, ""})
+	d.cluster -= min(count, d.cluster)
 }
 
 func (a *AM) applyWorkerStatus(t protocol.WorkerStatus) {
@@ -740,21 +808,25 @@ func (a *AM) fullSync() {
 	// flush them first or the master would see phantom grants and emit
 	// revocation fixes for containers the app already gave back.
 	a.flushReturns()
+	// A unit without outstanding demand is left out: the master reads
+	// Demand[id] for each of its units, so absent and empty are the same.
 	demand := make(map[int][]resource.LocalityHint, len(a.outstanding))
-	for unitID, out := range a.outstanding {
+	for i := range a.outstanding {
+		d := &a.outstanding[i]
 		var hints []resource.LocalityHint
-		for k, c := range out {
-			if c > 0 {
-				hints = append(hints, resource.LocalityHint{Type: k.typ, Value: k.value, Count: c})
-			}
+		for k, c := range d.loc {
+			hints = append(hints, resource.LocalityHint{Type: k.typ, Value: k.value, Count: c})
 		}
-		sort.Slice(hints, func(i, j int) bool {
-			if hints[i].Type != hints[j].Type {
-				return hints[i].Type < hints[j].Type
-			}
-			return hints[i].Value < hints[j].Value
+		if d.cluster > 0 {
+			hints = append(hints, resource.LocalityHint{Type: resource.LocalityCluster, Count: d.cluster})
+		}
+		if len(hints) == 0 {
+			continue
+		}
+		slices.SortFunc(hints, func(x, y resource.LocalityHint) int {
+			return cmp.Or(cmp.Compare(x.Type, y.Type), strings.Compare(x.Value, y.Value))
 		})
-		demand[unitID] = hints
+		demand[a.cfg.Units[i].ID] = hints
 	}
 	heldCopy := make(map[int]map[int32]int, len(a.cfg.Units))
 	for k, c := range a.held {

@@ -89,10 +89,16 @@ type CheckpointStore struct {
 	// TrackFullCost, when set, additionally accumulates into FullBytes
 	// what the same write sequence would have cost under the pre-delta
 	// codec (a full EncodeSnapshot per write) — the counterfactual behind
-	// the obs section's checkpoint-savings report. It costs one full
-	// encode per write; enable it only in measurement harnesses.
+	// the obs section's checkpoint-savings report. The size is computed in
+	// O(1) per write from liveBytes and blackBytes, never by encoding.
 	TrackFullCost bool
 	FullBytes     int64
+
+	// liveBytes sums the encoded records of the live apps (their n), and
+	// blackBytes the encoded blacklist entries without the count prefix:
+	// with the epoch and the live count they give the length of a full
+	// EncodeSnapshot of the writer's view.
+	liveBytes, blackBytes int
 }
 
 // NewCheckpointStore returns an empty store.
@@ -123,7 +129,7 @@ func (c *CheckpointStore) wrote(recStart int) {
 	c.logRecs++
 	c.Writes++
 	if c.TrackFullCost {
-		c.FullBytes += int64(len(EncodeSnapshot(c.materialize())))
+		c.FullBytes += int64(c.fullSize())
 	}
 	if c.logRecs >= c.CompactionCadence() {
 		c.compact()
@@ -156,10 +162,26 @@ func (c *CheckpointStore) compact() {
 	c.Compactions++
 }
 
+// fullSize is the length of EncodeSnapshot(c.materialize()), from the
+// running sums: version byte, epoch, live count, records, blacklist.
+func (c *CheckpointStore) fullSize() int {
+	return 1 + uvarintLen(uint64(c.epoch)) + uvarintLen(uint64(len(c.apps)-c.dead)) +
+		c.liveBytes + uvarintLen(uint64(len(c.blacklist))) + c.blackBytes
+}
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of v.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
 // materialize builds the writer's current Snapshot view from the saved
-// configs, independently of the cached records: the full-cost
-// counterfactual encodes it, and every anchor must equal its encoding.
-// Promotions never read it (see Load).
+// configs, independently of the cached records: every anchor, and every
+// fullSize, must equal its encoding. Only tests read it; promotions never
+// do (see Load).
 func (c *CheckpointStore) materialize() Snapshot {
 	s := Snapshot{Epoch: c.epoch}
 	for i := range c.apps {
@@ -198,7 +220,9 @@ func (c *CheckpointStore) SaveApp(a AppConfig) {
 	c.log = appendApp(c.log, a)
 	e := ckptApp{cfg: a, off: len(c.arena), n: len(c.log) - start - 1, live: true}
 	c.arena = append(c.arena, c.log[start+1:]...)
+	c.liveBytes += e.n
 	if i, ok := c.pos[a.Name]; ok {
+		c.liveBytes -= c.apps[i].n
 		c.apps[i] = e
 	} else {
 		c.pos[a.Name] = len(c.apps)
@@ -214,6 +238,7 @@ func (c *CheckpointStore) RemoveApp(name string) {
 		return
 	}
 	delete(c.pos, name)
+	c.liveBytes -= c.apps[i].n
 	c.apps[i] = ckptApp{}
 	if c.dead++; c.dead > len(c.apps)-c.dead {
 		c.compactApps()
@@ -247,6 +272,7 @@ func (c *CheckpointStore) SetBlacklist(machines []string) {
 	start := len(c.log)
 	c.log = append(c.log, opSetBlacklist)
 	c.log = appendStrings(c.log, machines)
+	c.blackBytes = len(c.log) - start - 1 - uvarintLen(uint64(len(machines)))
 	c.wrote(start)
 	c.BlacklistWrites++
 }

@@ -144,7 +144,9 @@ func FuzzCheckpointSnapshotDecode(f *testing.F) {
 // epoch writes — against a store with a small anchor cadence. Every anchor
 // the store assembles from its cached records must be byte-identical to a
 // full EncodeSnapshot of the writer's view, and Load (anchor plus delta
-// replay) must reproduce that view after every write.
+// replay) must reproduce that view after every write. The store tracks the
+// full-snapshot counterfactual, whose running size must equal the sum of
+// the real full encodes.
 func FuzzCheckpointAnchorIdentity(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 0, 7, 0, 1, 1, 0, 0, 13, 3, 0, 0, 0})
 	f.Add([]byte{0, 0, 1, 0, 2, 0, 3, 1, 1, 0, 8, 2, 3, 1, 2, 0, 14, 1, 0, 0, 4})
@@ -155,10 +157,12 @@ func FuzzCheckpointAnchorIdentity(f *testing.F) {
 		}
 		c := NewCheckpointStore()
 		c.CompactEvery = 1 + int(data[0]%5)
+		c.TrackFullCost = true
+		var fullBytes int64
 		for i := 1; i+1 < len(data); i += 2 {
 			op, x := data[i]%4, data[i+1]
 			name := fmt.Sprintf("app-%d", x%6)
-			compactions := c.Compactions
+			compactions, writes := c.Compactions, c.Writes
 			switch op {
 			case 0:
 				c.SaveApp(AppConfig{Name: name, Group: fmt.Sprintf("g%d", x/6%2), Units: deltaUnits(1 + int(x/12)%3)})
@@ -174,6 +178,12 @@ func FuzzCheckpointAnchorIdentity(f *testing.F) {
 				c.BumpEpoch()
 			}
 			want := EncodeSnapshot(c.materialize())
+			if c.Writes != writes {
+				fullBytes += int64(len(want))
+			}
+			if c.FullBytes != fullBytes {
+				t.Fatalf("step %d: FullBytes %d, want the full encodes' %d", i, c.FullBytes, fullBytes)
+			}
 			if c.Compactions != compactions && !bytes.Equal(c.anchor, want) {
 				t.Fatalf("step %d: anchor diverged from the full encode\n got %x\nwant %x", i, c.anchor, want)
 			}
